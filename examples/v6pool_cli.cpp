@@ -60,10 +60,11 @@
 //   v6pool_cli lint-dist FILE
 //       validate a V6DIST01 frame log (exit 0 iff clean)
 //   v6pool_cli obs-report [study flags] [--query-count Q] [--out FILE]
-//       run stage 1 with serving + timeline sampling, drive a
+//       run the study with serving + timeline sampling, drive a
 //       deterministic query workload, and emit the unified run-report
-//       JSON (config digest, kernel backend, metric totals, serve-side
-//       latency percentiles, epoch digests, timeline pointer); with
+//       JSON (config digest, kernel backend, metric totals, wall time
+//       per stage, serve-side latency percentiles, epoch digests,
+//       timeline pointer); with
 //       --dist-workers also aggregates per-worker kObsReport frames and
 //       honors the --cluster-*-out artifact flags
 //   v6pool_cli lint-report FILE
@@ -798,7 +799,34 @@ void append_latency_summary(std::string& out, const obs::Snapshot& metrics,
   out += '}';
 }
 
-// obs-report: run stage 1 with serving + timeline sampling on, drive a
+// The run report's per-stage wall clock: {"collect":US|null,...}, the
+// v6_stage_wall_us sum of each Study::run stage, null for a stage that
+// did not run.
+void append_stage_walls(std::string& out, const obs::Snapshot& metrics) {
+  out += "\"stage_wall_us\":{";
+  bool first = true;
+  for (const char* stage : {"collect", "campaigns", "backscan", "analysis"}) {
+    const obs::Labels want{{"stage", stage}};
+    const obs::MetricSample* found = nullptr;
+    for (const obs::MetricSample& s : metrics.samples) {
+      if (s.type == obs::MetricType::kHistogram &&
+          s.name == core::kStageWallFamily && s.labels == want) {
+        found = &s;
+        break;
+      }
+    }
+    if (!first) out += ',';
+    first = false;
+    out += '"';
+    out += stage;
+    out += "\":";
+    out += found != nullptr ? obs::detail::format_double(found->histogram.sum)
+                            : "null";
+  }
+  out += '}';
+}
+
+// obs-report: run the study with serving + timeline sampling on, drive a
 // deterministic query workload so the serve-latency histograms hold real
 // samples, and emit the unified run-report JSON artifact (validated by
 // obs::lint_report before it is written — the CLI never ships a report
@@ -806,9 +834,6 @@ void append_latency_summary(std::string& out, const obs::Snapshot& metrics,
 int cmd_obs_report(int argc, char** argv) {
   core::StudyConfig config = build_study_config(argc, argv);
   core::RunOptions options;
-  options.campaigns = false;
-  options.backscan = false;
-  options.analysis = false;
   options.serve.enabled = true;
   options.serve.epoch_interval = flag_days(argc, argv, "--epoch-days", 0);
   options.serve.retain_epochs = static_cast<std::size_t>(
@@ -914,6 +939,8 @@ int cmd_obs_report(int argc, char** argv) {
   json += ",\"polls_answered\":" + std::to_string(r.polls_answered);
   json += ",\"records\":" + std::to_string(study.ntp_size());
   json += ",\"samples\":" + std::to_string(metrics.samples.size()) + "}";
+  json += ',';
+  append_stage_walls(json, metrics);
   json += ",\"serve_latency\":{";
   static constexpr serve::QueryKind kKinds[] = {
       serve::QueryKind::kPoint, serve::QueryKind::kDensity48,

@@ -1,6 +1,7 @@
 #include "core/study.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -343,6 +344,23 @@ std::size_t Study::save_ntp(std::ostream& out) const {
   return hitlist::save_corpus(out, results_.ntp);
 }
 
+namespace {
+
+// kStageWallFamily buckets: 1-2-5 steps from 1 ms to 1,000 s, so a stage
+// at any study scale lands in a bucket no wider than 2.5x its value. The
+// sum, which the run report prints, is exact regardless.
+std::vector<double> stage_wall_buckets_us() {
+  std::vector<double> bounds;
+  for (double decade = 1e3; decade <= 1e9; decade *= 10) {
+    for (const double step : {1.0, 2.0, 5.0}) {
+      if (decade * step <= 1e9) bounds.push_back(decade * step);
+    }
+  }
+  return bounds;
+}
+
+}  // namespace
+
 const StudyResults& Study::run(RunOptions options) {
   if (options.distributed) {
     // Distributed collection composes with the rest of the pipeline but
@@ -393,11 +411,25 @@ const StudyResults& Study::run(RunOptions options) {
     }
   }
 
+  // Wall-clock time per stage: real elapsed time, so like the analysis
+  // wall histograms it sits outside the determinism gates.
+  using Clock = std::chrono::steady_clock;
+  const auto record_wall = [&](const char* stage, Clock::time_point begin) {
+    if (!config_.metrics) return;
+    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+        Clock::now() - begin);
+    metrics_
+        ->histogram(kStageWallFamily, "Study stage wall time (microseconds)",
+                    stage_wall_buckets_us(), {{"stage", stage}})
+        .observe(static_cast<double>(us.count()));
+  };
+
   // Spans are stamped with the *simulated* window each stage covers (the
   // study runs on a virtual clock); skipped/already-done stages record no
   // span.
   const auto root = tracer.begin_span("study.run", study_start);
   if (options.collect && !collected_) {
+    const auto wall = Clock::now();
     const auto span = tracer.begin_span("study.collect", study_start);
     if (options.distributed) {
       do_collect_distributed(*options.distributed);
@@ -418,25 +450,32 @@ const StudyResults& Study::run(RunOptions options) {
     }
     serve_epoch_interval_ = 0;
     tracer.end_span(span, study_end);
+    record_wall("collect", wall);
     if (sampler_ != nullptr) sampler_->sample(study_end, "collect");
   }
   if (options.campaigns && !campaigned_) {
+    const auto wall = Clock::now();
     const auto span = tracer.begin_span("study.campaigns", study_end);
     do_campaigns();
     tracer.end_span(span, study_end);
+    record_wall("campaigns", wall);
     if (sampler_ != nullptr) sampler_->sample(study_end, "campaigns");
   }
   if (options.backscan && !backscanned_) {
+    const auto wall = Clock::now();
     const auto span =
         tracer.begin_span("study.backscan", config_.backscan_start);
     do_backscan();
     tracer.end_span(span, backscan_end);
+    record_wall("backscan", wall);
     if (sampler_ != nullptr) sampler_->sample(backscan_end, "backscan");
   }
   if (options.analysis && !analyzed_) {
+    const auto wall = Clock::now();
     const auto span = tracer.begin_span("study.analysis", pipeline_end);
     do_analysis();
     tracer.end_span(span, pipeline_end);
+    record_wall("analysis", wall);
     if (sampler_ != nullptr) sampler_->sample(pipeline_end, "analysis");
   }
   tracer.end_span(root, pipeline_end);

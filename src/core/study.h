@@ -21,6 +21,7 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "analysis/address_categories.h"
@@ -163,6 +164,13 @@ struct StudyResults {
   obs::Timeline timeline;
 };
 
+// Histogram family of Study::run's per-stage wall time, in microseconds,
+// labelled stage=collect|campaigns|backscan|analysis. Each stage run()
+// executes observes it once, so a stage's sum is its wall time. Real
+// elapsed time: outside every determinism gate, and absent with metrics
+// off.
+inline constexpr std::string_view kStageWallFamily = "v6_stage_wall_us";
+
 // Stage selection and stage-1 plumbing for Study::run(). The defaults run
 // the whole pipeline.
 struct RunOptions {
@@ -189,7 +197,7 @@ struct RunOptions {
   // analysis float are bit-identical to the single-process run at any
   // worker count, including under injected worker kills/stalls.
   // Incompatible with spill, resume_from, checkpoint_sink, and
-  // plane.wire_fidelity (run() throws std::invalid_argument).
+  // collector.wire_fidelity (run() throws std::invalid_argument).
   std::optional<dist::DistConfig> distributed;
   // Hitlist-as-a-service: with serve.enabled, stage 1 publishes epoch
   // snapshots into Study::query_service() — interior epochs every

@@ -107,20 +107,64 @@ inline __m256i feistel_decrypt_once_vec(const FeistelSpec& spec, __m256i y) {
   return _mm256_or_si256(_mm256_sll_epi64(left, shift), right);
 }
 
-// Cycle-walk four lanes together: lanes already inside the domain are
-// frozen by the blend, lanes outside keep re-encrypting — each lane walks
-// exactly the sequence the scalar loop walks. Values never exceed
+// Cycle-walks in[0..n) into out[0..n) with lane refill: a lane whose value
+// lands in the domain stores its result and loads the next input, so no
+// lane idles waiting for the slowest walk of a fixed group of four. Each
+// round steps every lane once, a fresh input's first encryption included,
+// so each input walks exactly the sequence the scalar loop walks. Three
+// independent vectors are in flight, so their round latencies overlap.
+// Lanes retire once the inputs run out. Values never exceed
 // 2^(2*half_bits) <= 2^62, so plain signed 64-bit compares are correct.
 template <typename StepFn>
-inline __m256i cycle_walk_vec(const FeistelSpec& spec, __m256i x,
-                              StepFn&& step) {
+inline void cycle_walk_batch(const FeistelSpec& spec, const std::uint64_t* in,
+                             std::size_t n, std::uint64_t* out,
+                             StepFn&& step) {
+  constexpr int kVecs = 3;
+  constexpr int kLanes = 4 * kVecs;
   const __m256i domain =
       _mm256_set1_epi64x(static_cast<long long>(spec.domain_size));
-  __m256i y = step(x);
-  for (;;) {
-    const __m256i in_domain = _mm256_cmpgt_epi64(domain, y);
-    if (_mm256_movemask_pd(_mm256_castsi256_pd(in_domain)) == 0xf) return y;
-    y = _mm256_blendv_epi8(step(y), y, in_domain);
+  // lane_mask[l] selects 64-bit lane l of a vector in a blend.
+  const __m256i lane_mask[4] = {_mm256_set_epi64x(0, 0, 0, -1),
+                                _mm256_set_epi64x(0, 0, -1, 0),
+                                _mm256_set_epi64x(0, -1, 0, 0),
+                                _mm256_set_epi64x(-1, 0, 0, 0)};
+  alignas(32) std::uint64_t lane[kLanes] = {};
+  std::size_t dest[kLanes];
+  std::size_t next = 0;
+  int live = 0;
+  for (int l = 0; l < kLanes && next < n; ++l) {
+    dest[l] = next;
+    lane[l] = in[next++];
+    live |= 1 << l;
+  }
+  __m256i y[kVecs];
+  for (int v = 0; v < kVecs; ++v) {
+    y[v] = _mm256_load_si256(reinterpret_cast<const __m256i*>(lane + 4 * v));
+  }
+  while (live != 0) {
+    for (int v = 0; v < kVecs; ++v) y[v] = step(y[v]);
+    for (int v = 0; v < kVecs; ++v) {
+      const int done = _mm256_movemask_pd(_mm256_castsi256_pd(
+                           _mm256_cmpgt_epi64(domain, y[v]))) &
+                       (live >> (4 * v)) & 0xf;
+      if (done == 0) continue;
+      // Results leave through memory; fresh inputs enter by blend, so the
+      // vector never reloads what scalar code just stored.
+      std::uint64_t* const vlane = lane + 4 * v;
+      _mm256_store_si256(reinterpret_cast<__m256i*>(vlane), y[v]);
+      for (int l = 0; l < 4; ++l) {
+        if (((done >> l) & 1) == 0) continue;
+        out[dest[4 * v + l]] = vlane[l];
+        if (next < n) {
+          dest[4 * v + l] = next;
+          y[v] = _mm256_blendv_epi8(
+              y[v], _mm256_set1_epi64x(static_cast<long long>(in[next++])),
+              lane_mask[l]);
+        } else {
+          live &= ~(1 << (4 * v + l));
+        }
+      }
+    }
   }
 }
 
@@ -262,29 +306,17 @@ void ipv6_hash_batch_avx2(const std::uint8_t* bytes, std::size_t stride_bytes,
 
 void feistel_apply_batch_avx2(const FeistelSpec& spec, const std::uint64_t* in,
                               std::size_t n, std::uint64_t* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    const __m256i y = cycle_walk_vec(
-        spec, x, [&](__m256i v) { return feistel_encrypt_once_vec(spec, v); });
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), y);
-  }
-  if (i < n) feistel_apply_batch_scalar(spec, in + i, n - i, out + i);
+  cycle_walk_batch(spec, in, n, out, [&](__m256i v) {
+    return feistel_encrypt_once_vec(spec, v);
+  });
 }
 
 void feistel_invert_batch_avx2(const FeistelSpec& spec,
                                const std::uint64_t* in, std::size_t n,
                                std::uint64_t* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i y =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
-    const __m256i x = cycle_walk_vec(
-        spec, y, [&](__m256i v) { return feistel_decrypt_once_vec(spec, v); });
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
-  }
-  if (i < n) feistel_invert_batch_scalar(spec, in + i, n - i, out + i);
+  cycle_walk_batch(spec, in, n, out, [&](__m256i v) {
+    return feistel_decrypt_once_vec(spec, v);
+  });
 }
 
 #else  // !V6_KERNELS_HAVE_AVX2

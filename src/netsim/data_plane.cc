@@ -1,6 +1,5 @@
 #include "netsim/data_plane.h"
 
-#include "proto/tcp.h"
 #include "proto/udp.h"
 
 namespace v6::netsim {
@@ -63,11 +62,14 @@ bool DataPlane::icmp_error_allowed(const net::Ipv6Address& router,
   return true;
 }
 
-ProbeResult DataPlane::echo(const net::Ipv6Address& src,
+ProbeResult DataPlane::echo(const net::Ipv6Address& /*src*/,
                             const net::Ipv6Address& dst,
-                            std::uint16_t identifier, std::uint16_t sequence,
-                            util::SimTime t) {
-  return hop_limited_echo(src, dst, 255, identifier, sequence, t);
+                            std::uint16_t /*identifier*/,
+                            std::uint16_t sequence, util::SimTime t) {
+  // A hop limit of 255 never expires on a path of at most Path::kMaxHops,
+  // so the path is not needed: the request is lost or delivered.
+  if (lost()) return {};
+  return deliver_echo(dst, sequence, t);
 }
 
 ProbeResult DataPlane::hop_limited_echo(const net::Ipv6Address& src,
@@ -76,65 +78,63 @@ ProbeResult DataPlane::hop_limited_echo(const net::Ipv6Address& src,
                                         std::uint16_t identifier,
                                         std::uint16_t sequence,
                                         util::SimTime t) {
+  return hop_limited_echo(topology_.routers(src, dst), src, dst, hop_limit,
+                          identifier, sequence, t);
+}
+
+ProbeResult DataPlane::hop_limited_echo(const Path& routers,
+                                        const net::Ipv6Address& src,
+                                        const net::Ipv6Address& dst,
+                                        std::uint8_t hop_limit,
+                                        std::uint16_t /*identifier*/,
+                                        std::uint16_t sequence,
+                                        util::SimTime t) {
   ProbeResult result;
-  // Serialize the request exactly as a scanner would put it on the wire.
-  const proto::Icmpv6Message request =
-      proto::make_echo_request(identifier, sequence);
-  const std::vector<std::uint8_t> wire =
-      proto::encode_icmpv6(request, src, dst);
+  if (hop_limit == 0) return result;  // never leaves the sender
   if (lost()) return result;
 
   // Walk the forwarding path; a hop-limit expiry elicits Time Exceeded.
-  const std::vector<Hop> path = topology_.path(src, dst, t);
-  if (hop_limit <= path.size()) {
-    const Hop& hop = path[hop_limit - 1];
-    if (!hop.responds || !icmp_error_allowed(hop.address, t) || lost()) {
+  // The CPE hop follows the routers and is looked up only when the probe
+  // expires exactly there.
+  std::optional<Hop> expired;
+  if (hop_limit <= routers.size()) {
+    expired = routers[hop_limit - 1];
+  } else if (hop_limit == routers.size() + 1) {
+    expired = topology_.cpe_hop(src, dst, t);
+  }
+  if (expired) {
+    if (!expired->responds || !icmp_error_allowed(expired->address, t) ||
+        lost()) {
       return result;
     }
-    // The router quotes the invoking packet back; decode to stay honest.
-    const proto::Icmpv6Message te = proto::make_time_exceeded(wire);
-    const auto te_wire = proto::encode_icmpv6(te, hop.address, src);
-    const auto decoded = proto::decode_icmpv6(te_wire, hop.address, src);
-    if (!decoded) return result;
     result.kind = ProbeResult::Kind::kTimeExceeded;
-    result.responder = hop.address;
+    result.responder = expired->address;
     return result;
   }
+  return deliver_echo(dst, sequence, t);
+}
 
-  // Delivered: the destination stack validates the datagram.
-  const auto delivered = proto::decode_icmpv6(wire, src, dst);
-  if (!delivered) return result;
+ProbeResult DataPlane::deliver_echo(const net::Ipv6Address& dst,
+                                    std::uint16_t sequence, util::SimTime t) {
   const auto res = world_->resolve(dst, t);
   using Kind = sim::World::Resolution::Kind;
   const bool answers =
       (res.kind == Kind::kDevice && !res.firewalled && !res.icmp_silent) ||
       res.kind == Kind::kRouter || res.kind == Kind::kAlias;
-  if (!answers || lost()) return result;
-
-  const proto::Icmpv6Message reply = proto::make_echo_reply(*delivered);
-  const auto reply_wire = proto::encode_icmpv6(reply, dst, src);
-  const auto decoded_reply = proto::decode_icmpv6(reply_wire, dst, src);
-  if (!decoded_reply ||
-      decoded_reply->type != proto::Icmpv6Type::kEchoReply) {
-    return result;
-  }
+  if (!answers || lost()) return {};
+  ProbeResult result;
   result.kind = ProbeResult::Kind::kEchoReply;
   result.responder = dst;
-  result.sequence = decoded_reply->sequence();
+  result.sequence = sequence;  // an Echo Reply echoes the request's
   return result;
 }
 
-DataPlane::SynOutcome DataPlane::tcp_syn(const net::Ipv6Address& src,
+DataPlane::SynOutcome DataPlane::tcp_syn(const net::Ipv6Address& /*src*/,
                                          const net::Ipv6Address& dst,
                                          std::uint16_t dst_port,
-                                         std::uint32_t sequence,
+                                         std::uint32_t /*sequence*/,
                                          util::SimTime t) {
-  // The SYN travels as real bytes.
-  const proto::TcpSegment syn = proto::make_syn(54321, dst_port, sequence);
-  const auto wire = proto::encode_tcp(syn, src, dst);
   if (lost()) return SynOutcome::kTimeout;
-  const auto delivered = proto::decode_tcp(wire, src, dst);
-  if (!delivered || !delivered->is_syn()) return SynOutcome::kTimeout;
 
   const auto res = world_->resolve(dst, t);
   using Kind = sim::World::Resolution::Kind;
@@ -156,19 +156,8 @@ DataPlane::SynOutcome DataPlane::tcp_syn(const net::Ipv6Address& src,
       break;
   }
   if (!reachable || lost()) return SynOutcome::kTimeout;
-
-  const proto::TcpSegment reply =
-      listening
-          ? proto::make_syn_ack(*delivered,
-                                static_cast<std::uint32_t>(
-                                    util::mix64(dst.lo64() ^ sequence)))
-          : proto::make_rst(*delivered);
-  const auto reply_wire = proto::encode_tcp(reply, dst, src);
-  const auto decoded = proto::decode_tcp(reply_wire, dst, src);
-  if (!decoded || decoded->ack_number != sequence + 1) {
-    return SynOutcome::kTimeout;
-  }
-  return decoded->is_syn_ack() ? SynOutcome::kSynAck : SynOutcome::kRst;
+  // A listener answers SYN-ACK, anyone else RST; both acknowledge the SYN.
+  return listening ? SynOutcome::kSynAck : SynOutcome::kRst;
 }
 
 void DataPlane::bind_udp(const net::Ipv6Address& address, std::uint16_t port,

@@ -2,10 +2,15 @@
 // between addresses, consulting the world for ownership, firewalls, and
 // aliases, and the topology for hop-limited (traceroute) behaviour.
 //
-// Probes travel as real wire bytes: an echo() call serializes an ICMPv6
-// Echo Request, the "destination stack" decodes and validates it (checksum
-// included), and the reply takes the same path back. A configurable loss
-// rate models the real Internet's flakiness; scanners must tolerate it.
+// Probe verdicts (echo, hop-limited echo, TCP SYN) are decided from
+// values: who owns the destination, which hop a hop limit expires at, and
+// whether a listener is bound. The plane injects no corruption, so the
+// request/reply encode-and-decode round trip a real stack performs could
+// never change a verdict; tests/test_data_plane.cpp keeps that round trip
+// with the proto:: codecs as the reference the value path must match. UDP
+// datagrams still travel as wire bytes (their payload is the service's
+// input). A configurable loss rate models the real Internet's flakiness;
+// scanners must tolerate it.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +25,6 @@
 #include "netsim/fault_schedule.h"
 #include "netsim/topology.h"
 #include "obs/metrics.h"
-#include "proto/icmpv6.h"
 #include "sim/world.h"
 #include "util/rng.h"
 #include "util/sim_time.h"
@@ -70,9 +74,20 @@ class DataPlane {
                    std::uint16_t identifier, std::uint16_t sequence,
                    util::SimTime t);
 
-  // Hop-limited echo (the Yarrp primitive): if the path is longer than
-  // `hop_limit`, the router at that hop answers Time Exceeded.
+  // Hop-limited echo (the Yarrp primitive): if the path is at least
+  // `hop_limit` hops long, the hop it expires at answers Time Exceeded. A
+  // hop limit of 0 never leaves the sender.
   ProbeResult hop_limited_echo(const net::Ipv6Address& src,
+                               const net::Ipv6Address& dst,
+                               std::uint8_t hop_limit,
+                               std::uint16_t identifier,
+                               std::uint16_t sequence, util::SimTime t);
+  // The same probe with the path's router hops precomputed: `routers` must
+  // equal topology().routers(src, dst). Tracers compute it once per target
+  // and probe every TTL with it; the verdict and the loss draws are those
+  // of the overload above.
+  ProbeResult hop_limited_echo(const Path& routers,
+                               const net::Ipv6Address& src,
                                const net::Ipv6Address& dst,
                                std::uint8_t hop_limit,
                                std::uint16_t identifier,
@@ -118,6 +133,9 @@ class DataPlane {
 
  private:
   bool lost();
+  // The destination's answer to a delivered echo request.
+  ProbeResult deliver_echo(const net::Ipv6Address& dst,
+                           std::uint16_t sequence, util::SimTime t);
   // Charges one ICMP error against `router`'s budget for second `t`.
   bool icmp_error_allowed(const net::Ipv6Address& router, util::SimTime t);
 

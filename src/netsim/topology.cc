@@ -16,26 +16,33 @@ std::uint32_t pick_router(const sim::AsInfo& as, std::uint64_t key) {
 
 }  // namespace
 
-std::optional<std::uint32_t> Topology::backbone_of(
-    std::uint16_t country_index) const {
-  const auto ases = world_->ases();
+Topology::Topology(const sim::World& world)
+    : world_(&world), backbone_(world.countries().size(), kNoBackbone) {
+  const auto ases = world.ases();
   for (std::uint32_t i = 0; i < ases.size(); ++i) {
-    if (ases[i].country_index == country_index &&
-        ases[i].type == sim::AsType::kTransit) {
-      return i;
-    }
+    if (ases[i].type != sim::AsType::kTransit) continue;
+    const std::uint16_t country = ases[i].country_index;
+    if (country >= backbone_.size()) backbone_.resize(country + 1, kNoBackbone);
+    if (backbone_[country] == kNoBackbone) backbone_[country] = i;
   }
-  return std::nullopt;
 }
 
-std::vector<Hop> Topology::path(const net::Ipv6Address& src,
-                                const net::Ipv6Address& dst,
-                                util::SimTime t) const {
-  std::vector<Hop> hops;
+std::optional<std::uint32_t> Topology::backbone_of(
+    std::uint16_t country_index) const {
+  if (country_index >= backbone_.size() ||
+      backbone_[country_index] == kNoBackbone) {
+    return std::nullopt;
+  }
+  return backbone_[country_index];
+}
+
+Path Topology::routers(const net::Ipv6Address& src,
+                       const net::Ipv6Address& dst) const {
+  Path hops;
+  if (src.hi64() == dst.hi64()) return hops;  // same /64: on-link
   const std::uint64_t dst48 = dst.hi64() >> 16;
   const auto src_as = world_->as_index_of(src);
   const auto dst_as = world_->as_index_of(dst);
-  if (src.hi64() == dst.hi64()) return hops;  // same /64: on-link
 
   auto add_router = [&](std::uint32_t as_index, std::uint64_t key) {
     const sim::AsInfo& as = world_->ases()[as_index];
@@ -66,20 +73,29 @@ std::vector<Hop> Topology::path(const net::Ipv6Address& src,
     add_router(*dst_as, 0xed6e ^ dst48);  // AS edge
   }
   add_router(*dst_as, 0xc04e ^ dst48);  // AS core, nearer the target
+  return hops;
+}
 
+std::optional<Hop> Topology::cpe_hop(const net::Ipv6Address& src,
+                                     const net::Ipv6Address& dst,
+                                     util::SimTime t) const {
+  if (src.hi64() == dst.hi64()) return std::nullopt;  // on-link
   // Customer-site targets traverse the site's CPE last (the "network
-  // periphery" hop that CPE-focused campaigns harvest).
-  if (const auto site_id = world_->site_at(dst, t)) {
-    const sim::Site& site = world_->sites()[*site_id];
-    if (site.cpe != sim::kNoDevice) {
-      const net::Ipv6Address cpe_addr =
-          world_->device_address(site.cpe, t);
-      if (cpe_addr != dst) {
-        hops.push_back(
-            {cpe_addr, world_->devices()[site.cpe].responds_icmp});
-      }
-    }
-  }
+  // periphery" hop that CPE-focused campaigns harvest). site_at is empty
+  // for unrouted destinations.
+  const auto site_id = world_->site_at(dst, t);
+  if (!site_id) return std::nullopt;
+  const sim::Site& site = world_->sites()[*site_id];
+  if (site.cpe == sim::kNoDevice) return std::nullopt;
+  const net::Ipv6Address cpe_addr = world_->device_address(site.cpe, t);
+  if (cpe_addr == dst) return std::nullopt;
+  return Hop{cpe_addr, world_->devices()[site.cpe].responds_icmp};
+}
+
+Path Topology::path(const net::Ipv6Address& src, const net::Ipv6Address& dst,
+                    util::SimTime t) const {
+  Path hops = routers(src, dst);
+  if (const auto cpe = cpe_hop(src, dst, t)) hops.push_back(*cpe);
   return hops;
 }
 

@@ -234,7 +234,7 @@ std::optional<std::string> lint_report(std::string_view text) {
   }
   for (const std::string_view key :
        {"version", "config", "digest", "kernel_backend", "metrics",
-        "serve_latency", "epochs", "timeline"}) {
+        "stage_wall_us", "serve_latency", "epochs", "timeline"}) {
     std::string pattern = "\"";
     pattern += key;
     pattern += "\":";

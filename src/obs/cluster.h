@@ -110,9 +110,10 @@ class ClusterAggregator {
 // Dependency-free validator for the `v6pool_cli obs-report` artifact:
 // the text must be one valid JSON object (lint_json) declaring
 // "report":"v6pool_run_report", carrying the required top-level sections
-// (version, config with digest, kernel_backend, metrics, serve_latency,
-// epochs, timeline), and every p50_us/p90_us/p99_us value must be a JSON
-// number or null. Returns nullopt when clean, else a description.
+// (version, config with digest, kernel_backend, metrics, stage_wall_us,
+// serve_latency, epochs, timeline), and every p50_us/p90_us/p99_us value
+// must be a JSON number or null. Returns nullopt when clean, else a
+// description.
 std::optional<std::string> lint_report(std::string_view text);
 
 }  // namespace v6::obs

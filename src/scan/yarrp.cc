@@ -28,6 +28,14 @@ std::vector<TraceResult> YarrpTracer::trace(
     results[i].hops.assign(config_.max_hops, net::Ipv6Address{});
     results[i].hop_responded.assign(config_.max_hops, false);
   }
+  // A target's router hops do not depend on time: compute them once per
+  // trace instead of once per probe. The time-dependent CPE hop is left to
+  // the plane, for the probe whose TTL reaches it.
+  std::vector<netsim::Path> routes;
+  routes.reserve(targets.size());
+  for (const auto& target : targets) {
+    routes.push_back(plane_->topology().routers(config_.source, target));
+  }
 
   const std::uint64_t space =
       targets.size() * static_cast<std::uint64_t>(config_.max_hops);
@@ -59,7 +67,7 @@ std::vector<TraceResult> YarrpTracer::trace(
       ++sent_;
       metric_probes_.inc();
       const auto result = plane_->hop_limited_echo(
-          config_.source, targets[ti], ttl, ident, ttl, t);
+          routes[ti], config_.source, targets[ti], ttl, ident, ttl, t);
       switch (result.kind) {
         case netsim::ProbeResult::Kind::kTimeExceeded:
           results[ti].hops[ttl - 1] = result.responder;

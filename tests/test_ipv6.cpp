@@ -40,6 +40,10 @@ struct FormatCase {
   const char* canonical;
 };
 
+// Print the input text, so case names are stable across runs; the default
+// printer dumps the two pointers, whose values change with ASLR.
+void PrintTo(const FormatCase& c, std::ostream* os) { *os << c.input; }
+
 class Rfc5952Format : public ::testing::TestWithParam<FormatCase> {};
 
 TEST_P(Rfc5952Format, Canonicalizes) {

@@ -594,6 +594,25 @@ TEST_F(StudyMetricsTest, SpansCoverTheFourStagesUnderOneRoot) {
   }
 }
 
+TEST_F(StudyMetricsTest, StageWallTimeCoversEveryStageOnce) {
+  // One wall-clock observation per stage run() executed. Only its shape is
+  // asserted: the values are real elapsed time, outside every gate.
+  const auto& m = study_->results().metrics;
+  for (const char* stage : {"collect", "campaigns", "backscan", "analysis"}) {
+    const Labels want{{"stage", stage}};
+    const MetricSample* found = nullptr;
+    for (const auto& sample : m.samples) {
+      if (sample.name == core::kStageWallFamily && sample.labels == want) {
+        found = &sample;
+      }
+    }
+    ASSERT_NE(found, nullptr) << stage;
+    EXPECT_EQ(found->type, MetricType::kHistogram) << stage;
+    EXPECT_EQ(found->histogram.count, 1u) << stage;
+    EXPECT_GE(found->histogram.sum, 0.0) << stage;
+  }
+}
+
 TEST_F(StudyMetricsTest, RenderedSnapshotPassesTheLinterInBothFormats) {
   const auto& m = study_->results().metrics;
   const auto prom = render(m, ExpositionFormat::kPrometheus);

@@ -276,6 +276,7 @@ std::string minimal_report() {
          "\"config\":{\"digest\":\"abc\"},"
          "\"kernel_backend\":\"scalar\","
          "\"metrics\":{\"v6_collector_polls_total\":1},"
+         "\"stage_wall_us\":{\"collect\":12.0,\"campaigns\":null},"
          "\"serve_latency\":{\"point\":{\"count\":2,\"p50_us\":1.5,"
          "\"p90_us\":null,\"p99_us\":null}},"
          "\"epochs\":[],\"timeline\":null}";
@@ -299,7 +300,7 @@ TEST(RunReportLint, RejectsMissingIdentityAndRequiredKeys) {
 
   for (const char* key :
        {"version", "config", "digest", "kernel_backend", "metrics",
-        "serve_latency", "epochs", "timeline"}) {
+        "stage_wall_us", "serve_latency", "epochs", "timeline"}) {
     std::string broken = minimal_report();
     const std::string pattern = "\"" + std::string(key) + "\":";
     const std::size_t pos = broken.find(pattern);

@@ -7,6 +7,7 @@
 #include "scan/target_gen.h"
 #include "scan/yarrp.h"
 #include "scan/zmap6.h"
+#include "sim/feistel.h"
 #include "util/rng.h"
 
 namespace v6::scan {
@@ -125,6 +126,177 @@ TEST_F(ScanTest, YarrpUnreachableTargetStillFindsRouters) {
   const auto traces = yarrp.trace(targets, 1000);
   EXPECT_FALSE(traces[0].destination_reached);
   EXPECT_FALSE(YarrpTracer::discovered(traces).empty());
+}
+
+// Per-probe reference for YarrpTracer::trace: the tracer's probe schedule
+// replayed one probe at a time, each against the whole path rebuilt by
+// Topology::path(src, dst, t) at the probe's own time, with the plane's
+// loss draws mirrored by an Rng seeded the way DataPlane seeds its own.
+// Counts the CPE-TTL probes whose CPE hop differs from the one at t0, so a
+// caller can check that a CPE cached across the trace would be caught.
+struct ReferenceTrace {
+  std::vector<TraceResult> results;
+  std::uint64_t drops = 0;
+  std::size_t moved_cpe_probes = 0;
+};
+
+ReferenceTrace reference_trace(const sim::World& world,
+                               const netsim::DataPlaneConfig& plane_config,
+                               const YarrpConfig& config,
+                               std::span<const net::Ipv6Address> targets,
+                               util::SimTime t0) {
+  const netsim::Topology topology(world);
+  util::Rng rng(util::mix64(plane_config.seed ^ 0xda7a));
+  ReferenceTrace ref;
+  const auto lost = [&] {
+    if (plane_config.loss_rate > 0.0 && rng.chance(plane_config.loss_rate)) {
+      ++ref.drops;
+      return true;
+    }
+    return false;
+  };
+  for (const auto& target : targets) {
+    TraceResult r;
+    r.target = target;
+    r.hops.assign(config.max_hops, net::Ipv6Address{});
+    r.hop_responded.assign(config.max_hops, false);
+    ref.results.push_back(std::move(r));
+  }
+  const std::uint64_t space = targets.size() * config.max_hops;
+  const sim::FeistelPermutation order(space ? space : 1,
+                                      config.seed ^ 0x9a44b);
+  for (std::uint64_t k = 0; k < space; ++k) {
+    const std::uint64_t probe_index = order.apply(k);
+    const std::size_t ti = probe_index / config.max_hops;
+    const auto ttl =
+        static_cast<std::uint8_t>(1 + probe_index % config.max_hops);
+    const util::SimTime t =
+        t0 + static_cast<util::SimTime>(k / config.probe_rate);
+    const net::Ipv6Address& dst = targets[ti];
+    const netsim::Path routers = topology.routers(config.source, dst);
+    if (ttl == routers.size() + 1) {
+      const auto now = topology.cpe_hop(config.source, dst, t);
+      const auto then = topology.cpe_hop(config.source, dst, t0);
+      if (now.has_value() != then.has_value() ||
+          (now && now->address != then->address)) {
+        ++ref.moved_cpe_probes;
+      }
+    }
+    if (lost()) continue;
+    const netsim::Path path = topology.path(config.source, dst, t);
+    if (ttl <= path.size()) {
+      const netsim::Hop& hop = path[ttl - 1];
+      if (!hop.responds || lost()) continue;
+      ref.results[ti].hops[ttl - 1] = hop.address;
+      ref.results[ti].hop_responded[ttl - 1] = true;
+      continue;
+    }
+    const auto res = world.resolve(dst, t);
+    using Kind = sim::World::Resolution::Kind;
+    const bool answers =
+        (res.kind == Kind::kDevice && !res.firewalled && !res.icmp_silent) ||
+        res.kind == Kind::kRouter || res.kind == Kind::kAlias;
+    if (answers && !lost()) ref.results[ti].destination_reached = true;
+  }
+  return ref;
+}
+
+TEST_F(ScanTest, YarrpPerTraceRoutesMatchPerProbePaths) {
+  // Targets inside daily-rotating ASes, addressed just before a rotation
+  // boundary, so the trace's probe times straddle a generation change
+  // and their CPE hops move mid-trace.
+  const util::SimTime boundary = world_->config().study_start + 10 * util::kDay;
+  std::vector<net::Ipv6Address> targets;
+  for (const auto& site : world_->sites()) {
+    const sim::AsInfo& as = world_->ases()[site.as_index];
+    if (as.profile.rotation_period != util::kDay || site.device_count == 0 ||
+        site.cpe == sim::kNoDevice) {
+      continue;
+    }
+    targets.push_back(world_->device_address(site.first_device, boundary - 1));
+    if (targets.size() == 24) break;
+  }
+  ASSERT_GE(targets.size(), 8u);
+  // On-link (same /64 as the source), unrouted, and a routed address no
+  // one owns.
+  targets.push_back(
+      net::Ipv6Address::from_u64(source().hi64(), source().lo64() ^ 0x77));
+  targets.push_back(*net::Ipv6Address::parse("3fff::1"));
+  targets.push_back(net::Ipv6Address::from_u64(
+      world_->ases()[0].prefix_hi | (sim::kRegionSite << 28) | 0xdead00, 9));
+
+  const netsim::DataPlaneConfig plane_config{0.05, 31};
+  YarrpConfig config{source(), 8, 1, 0x5eed};  // one probe per second
+  const std::uint64_t space = targets.size() * config.max_hops;
+  const util::SimTime t0 = boundary - static_cast<util::SimTime>(space / 2);
+
+  netsim::DataPlane plane(*world_, plane_config);
+  YarrpTracer yarrp(plane, config);
+  const auto traces = yarrp.trace(targets, t0);
+  const auto ref = reference_trace(*world_, plane_config, config, targets, t0);
+
+  EXPECT_GT(ref.moved_cpe_probes, 0u);  // the straddle is real
+  EXPECT_EQ(plane.drops(), ref.drops);  // same loss draws, same order
+  ASSERT_EQ(traces.size(), ref.results.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    EXPECT_EQ(traces[i].target, ref.results[i].target);
+    EXPECT_EQ(traces[i].destination_reached,
+              ref.results[i].destination_reached)
+        << "target " << i;
+    EXPECT_EQ(traces[i].hop_responded, ref.results[i].hop_responded)
+        << "target " << i;
+    EXPECT_EQ(traces[i].hops, ref.results[i].hops) << "target " << i;
+  }
+}
+
+TEST_F(ScanTest, YarrpMatchesPerProbeHopLimitedEchoUnderRateLimits) {
+  // With router ICMP budgets on, the tracer's precomputed-route probes
+  // charge the same budgets in the same order as per-probe calls.
+  std::vector<net::Ipv6Address> targets;
+  util::Rng rng(12);
+  for (int i = 0; i < 40; ++i) {
+    const auto d =
+        static_cast<sim::DeviceId>(rng.bounded(world_->devices().size()));
+    targets.push_back(world_->device_address(d, 5000));
+  }
+  const netsim::DataPlaneConfig plane_config{0.02, 8, 3};
+  const YarrpConfig config{source(), 10, 200, 0xfeed};
+  netsim::DataPlane traced(*world_, plane_config);
+  YarrpTracer yarrp(traced, config);
+  const auto traces = yarrp.trace(targets, 5000);
+
+  netsim::DataPlane per_probe(*world_, plane_config);
+  const std::uint64_t space = targets.size() * config.max_hops;
+  const sim::FeistelPermutation order(space, config.seed ^ 0x9a44b);
+  std::vector<TraceResult> expected(targets.size());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    expected[i].hops.assign(config.max_hops, net::Ipv6Address{});
+    expected[i].hop_responded.assign(config.max_hops, false);
+  }
+  for (std::uint64_t k = 0; k < space; ++k) {
+    const std::uint64_t p = order.apply(k);
+    const std::size_t ti = p / config.max_hops;
+    const auto ttl = static_cast<std::uint8_t>(1 + p % config.max_hops);
+    const auto result = per_probe.hop_limited_echo(
+        config.source, targets[ti], ttl, 0, ttl,
+        5000 + static_cast<util::SimTime>(k / config.probe_rate));
+    if (result.kind == netsim::ProbeResult::Kind::kTimeExceeded) {
+      expected[ti].hops[ttl - 1] = result.responder;
+      expected[ti].hop_responded[ttl - 1] = true;
+    } else if (result.kind == netsim::ProbeResult::Kind::kEchoReply) {
+      expected[ti].destination_reached = true;
+    }
+  }
+  EXPECT_GT(traced.rate_limited(), 0u);  // the budgets really bit
+  EXPECT_EQ(traced.rate_limited(), per_probe.rate_limited());
+  EXPECT_EQ(traced.drops(), per_probe.drops());
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    EXPECT_EQ(traces[i].hops, expected[i].hops) << "target " << i;
+    EXPECT_EQ(traces[i].hop_responded, expected[i].hop_responded)
+        << "target " << i;
+    EXPECT_EQ(traces[i].destination_reached, expected[i].destination_reached)
+        << "target " << i;
+  }
 }
 
 TEST_F(ScanTest, RoutedSlash48FractionScalesTargetCount) {

@@ -451,7 +451,14 @@ TEST(TimelineStudy, BitIdenticalAcrossThreadCounts) {
   expect_same_timeline(r1.timeline, r2.timeline);
   expect_same_timeline(r1.timeline, r4.timeline);
   // The rendered exports are therefore byte-identical too, once the
-  // wall-clock histogram fields are stripped.
+  // wall-clock histogram fields (stage wall time among them) are stripped.
+  bool stage_wall_seen = false;
+  for (const auto& w : r4.timeline) {
+    for (const auto& h : w.histograms) {
+      stage_wall_seen |= h.name == core::kStageWallFamily;
+    }
+  }
+  EXPECT_TRUE(stage_wall_seen);
   const Timeline t1 = strip_histograms(r1.timeline);
   const Timeline t4 = strip_histograms(r4.timeline);
   EXPECT_EQ(render_timeline(t1, TimelineFormat::kJsonl),

@@ -110,5 +110,54 @@ TEST_F(TopologyTest, SameSlash64IsOnLink) {
   EXPECT_TRUE(topo_->path(a, b, 0).empty());
 }
 
+TEST_F(TopologyTest, BackboneTableMatchesFirstTransitAsScan) {
+  // The table built once at construction equals the brute-force answer:
+  // the first transit AS of the country in world order.
+  const auto ases = world_->ases();
+  std::size_t with_backbone = 0;
+  for (std::size_t c = 0; c <= world_->countries().size(); ++c) {
+    std::optional<std::uint32_t> expected;
+    for (std::uint32_t i = 0; i < ases.size(); ++i) {
+      if (ases[i].country_index == c &&
+          ases[i].type == sim::AsType::kTransit) {
+        expected = i;
+        break;
+      }
+    }
+    EXPECT_EQ(topo_->backbone_of(static_cast<std::uint16_t>(c)), expected)
+        << "country " << c;
+    with_backbone += expected.has_value();
+  }
+  EXPECT_GT(with_backbone, 0u);
+}
+
+TEST_F(TopologyTest, PathIsRoutersThenCpeHop) {
+  util::Rng rng(10);
+  const auto src = world_->vantages().front().address;
+  std::size_t with_cpe = 0;
+  for (int i = 0; i < 300; ++i) {
+    const auto d =
+        static_cast<sim::DeviceId>(rng.bounded(world_->devices().size()));
+    const util::SimTime t = static_cast<util::SimTime>(rng.bounded(
+        static_cast<std::uint64_t>(world_->config().study_duration)));
+    const auto dst = world_->device_address(d, t);
+    const Path path = topo_->path(src, dst, t);
+    const Path routers = topo_->routers(src, dst);
+    const auto cpe = topo_->cpe_hop(src, dst, t);
+    ASSERT_LE(path.size(), Path::kMaxHops);
+    ASSERT_EQ(path.size(), routers.size() + (cpe ? 1 : 0));
+    for (std::size_t h = 0; h < routers.size(); ++h) {
+      EXPECT_EQ(path[h].address, routers[h].address);
+      EXPECT_TRUE(path[h].responds);
+    }
+    if (cpe) {
+      ++with_cpe;
+      EXPECT_EQ(path.back().address, cpe->address);
+      EXPECT_EQ(path.back().responds, cpe->responds);
+    }
+  }
+  EXPECT_GT(with_cpe, 0u);
+}
+
 }  // namespace
 }  // namespace v6::netsim
