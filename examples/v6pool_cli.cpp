@@ -42,8 +42,8 @@
 //       final window-end epoch), prints one line per retained epoch
 //       (records, table sizes, answer digest), then answers the given
 //       queries against the final epoch
-//   v6pool_cli coordinator --dir D [--workers N] [--subsets S]
-//                          [--chunk-days C] [--heartbeat-timeout-ms MS]
+//   v6pool_cli coordinator --dir D [--workers N] [--chunk-days C]
+//                          [--heartbeat-timeout-ms MS]
 //                          [--save-corpus FILE] [--sites N] [--days D]
 //                          [--seed S]
 //       real multi-process mode: drive worker processes sharing --dir,
@@ -226,6 +226,18 @@ std::uint64_t fnv1a64(std::string_view text) {
   return h;
 }
 
+// --dist-workers N (N > 0) runs collection through a simulated N-worker
+// cluster; --dist-kills and --dist-chunk-days shape it.
+std::optional<dist::DistConfig> dist_flags(int argc, char** argv) {
+  const std::uint32_t workers = flag_u32(argc, argv, "--dist-workers", 0);
+  if (workers == 0) return std::nullopt;
+  dist::DistConfig config;
+  config.workers = workers;
+  config.forced_kills = flag_u32(argc, argv, "--dist-kills", 0);
+  config.chunk_interval = flag_days(argc, argv, "--dist-chunk-days", 7);
+  return config;
+}
+
 // Writes the cluster-observability artifacts of a distributed run:
 // --cluster-metrics-out (aggregated Prometheus exposition),
 // --cluster-timeline-out (merged per-worker JSONL windows), and
@@ -304,14 +316,7 @@ int cmd_study(int argc, char** argv) {
     options.backscan = false;
     options.analysis = false;
   }
-  if (const std::uint32_t workers = flag_u32(argc, argv, "--dist-workers", 0);
-      workers > 0) {
-    dist::DistConfig dist_config;
-    dist_config.workers = workers;
-    dist_config.forced_kills = flag_u32(argc, argv, "--dist-kills", 0);
-    dist_config.chunk_interval = flag_days(argc, argv, "--dist-chunk-days", 7);
-    options.distributed = dist_config;
-  }
+  options.distributed = dist_flags(argc, argv);
 
   std::printf("running study: %u sites, %lld days, seed %llu\n",
               config.world.total_sites,
@@ -325,9 +330,9 @@ int cmd_study(int argc, char** argv) {
               util::with_commas(r.polls_attempted).c_str(),
               util::with_commas(r.polls_answered).c_str());
   if (r.dist) {
-    std::printf("distributed   : %u workers over %u subsets, %s leases, "
+    std::printf("distributed   : %u workers over %u parts, %s leases, "
                 "%s deaths, %s reassignments, %s stale uploads rejected\n",
-                r.dist->workers, r.dist->subsets,
+                r.dist->workers, r.dist->parts,
                 util::with_commas(r.dist->leases_granted).c_str(),
                 util::with_commas(r.dist->worker_deaths).c_str(),
                 util::with_commas(r.dist->reassignments).c_str(),
@@ -511,7 +516,6 @@ int cmd_coordinator(int argc, char** argv) {
   dist::CoordinatorConfig config;
   config.dir = dir;
   config.workers = flag_u32(argc, argv, "--workers", 4);
-  config.subsets = flag_u32(argc, argv, "--subsets", 0);
   config.chunk_interval = flag_days(argc, argv, "--chunk-days", 7);
   config.heartbeat_timeout_ms =
       flag_u32(argc, argv, "--heartbeat-timeout-ms", 10000);
@@ -839,14 +843,7 @@ int cmd_obs_report(int argc, char** argv) {
   options.serve.retain_epochs = static_cast<std::size_t>(
       flag_u64(argc, argv, "--retain-epochs", 8, 1ull << 20));
   options.sample_interval = flag_days(argc, argv, "--sample-days", 7);
-  if (const std::uint32_t workers = flag_u32(argc, argv, "--dist-workers", 0);
-      workers > 0) {
-    dist::DistConfig dist_config;
-    dist_config.workers = workers;
-    dist_config.forced_kills = flag_u32(argc, argv, "--dist-kills", 0);
-    dist_config.chunk_interval = flag_days(argc, argv, "--dist-chunk-days", 7);
-    options.distributed = dist_config;
-  }
+  options.distributed = dist_flags(argc, argv);
 
   const std::uint32_t dist_workers =
       options.distributed ? options.distributed->workers : 0;
@@ -979,7 +976,7 @@ int cmd_obs_report(int argc, char** argv) {
   json += "}";
   if (r.dist) {
     json += ",\"dist\":{\"workers\":" + std::to_string(r.dist->workers);
-    json += ",\"subsets\":" + std::to_string(r.dist->subsets);
+    json += ",\"parts\":" + std::to_string(r.dist->parts);
     json += ",\"obs_reports\":" +
             std::to_string(r.dist->cluster_obs.report_count());
     json += ",\"leases\":" + std::to_string(r.dist->leases_granted);
@@ -1103,7 +1100,7 @@ int main(int argc, char** argv) {
       "  v6pool_cli serve [--sites N] [--days D] [--seed S] [--threads T] "
       "[--memory-budget-mb M] [--epoch-days E] [--retain-epochs R] "
       "[--addr A] [--p48 A] [--p64 A] [--oui O] [--queries FILE]\n"
-      "  v6pool_cli coordinator --dir D [--workers N] [--subsets S] "
+      "  v6pool_cli coordinator --dir D [--workers N] "
       "[--chunk-days C] [--heartbeat-timeout-ms MS] [--save-corpus FILE] "
       "[--sites N] [--days D] [--seed S]\n"
       "  v6pool_cli worker --dir D --id I [--chunk-delay-ms MS] "

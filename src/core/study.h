@@ -191,7 +191,7 @@ struct RunOptions {
   // bit-identical at any thread count and sampling changes no result.
   util::SimDuration sample_interval = 0;
   // Distributed stage 1: when set, collection runs through a simulated
-  // dist::SimCluster — N workers each collecting a vantage subset under
+  // dist::SimCluster — N workers each collecting one device range under
   // chunk leases, with the coordinator's deterministic merge feeding the
   // rest of the pipeline. The merged corpus, saved bytes, and every
   // analysis float are bit-identical to the single-process run at any

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "dist/lease_table.h"
 #include "dist/transport.h"
 
 namespace v6::dist {
@@ -25,22 +26,7 @@ std::uint64_t ms_since(Clock::time_point t0) {
 struct WorkerPeer {
   std::uint32_t id = 0;
   bool alive = true;
-  // kNoSubset while idle; the subset it holds a lease on otherwise.
-  std::uint32_t lease = kNoSubset;
   std::uint64_t last_seen_ms = 0;
-};
-
-struct SubsetSlot {
-  std::uint32_t id = 0;
-  bool done = false;
-  bool running = false;
-  std::uint32_t epoch = 0;
-  std::uint64_t available_at_ms = 0;
-  // Last durable checkpoint: relative artifact path + its resume point
-  // (carried in the upload frame's sim_time).
-  std::string ckpt_path;
-  std::uint64_t resume_from = 0;
-  std::string final_path;
 };
 
 }  // namespace
@@ -58,8 +44,6 @@ Coordinator::Coordinator(const CoordinatorConfig& config) : config_(config) {
 }
 
 CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
-  const std::uint32_t subset_count =
-      config_.subsets != 0 ? config_.subsets : config_.workers;
   Mailbox inbox(config_.dir + "/to-coordinator");
   std::ofstream frame_log(config_.dir + "/frames.log",
                           std::ios::binary | std::ios::app);
@@ -94,36 +78,26 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
                         std::uint32_t subset, std::uint32_t epoch,
                         std::uint64_t sim_time,
                         std::vector<std::uint8_t> payload = {}) {
-    Frame frame;
-    frame.type = type;
-    frame.sender = kCoordinatorId;
-    frame.subset = subset;
-    frame.epoch = epoch;
-    frame.seq = tx_seq++;
-    frame.sim_time = sim_time;
-    frame.payload = std::move(payload);
+    const Frame frame{type, kCoordinatorId, subset, epoch, tx_seq++, sim_time,
+                      std::move(payload)};
     outbox_for(worker).post(frame);
     log_frame(frame);
   };
 
-  std::vector<SubsetSlot> subsets(subset_count);
-  for (std::uint32_t s = 0; s < subset_count; ++s) {
-    subsets[s].id = s;
-    subsets[s].resume_from = static_cast<std::uint64_t>(start);
-  }
+  // One device part per initial worker. Ticks are milliseconds since
+  // start, and the backoff is a constant retry_backoff_ms.
+  LeaseTable leases(config_.workers, start, end, config_.chunk_interval,
+                    {config_.retry_backoff_ms, config_.retry_backoff_ms, 0.0,
+                     0});
 
   CoordinatorResult result;
   const Clock::time_point t0 = Clock::now();
-
-  const auto artifact_ok = [&](const Artifact& artifact) {
-    return !validate_artifact_path(artifact.path).has_value();
-  };
 
   while (true) {
     const std::uint64_t now = ms_since(t0);
     if (now > config_.max_wall_ms) {
       throw std::runtime_error(
-          "coordinator: deadline exceeded before every subset completed");
+          "coordinator: deadline exceeded before every part completed");
     }
 
     for (const Frame& frame : inbox.drain()) {
@@ -141,54 +115,31 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
         case FrameType::kHello:
         case FrameType::kHeartbeat:
           break;
-        case FrameType::kCheckpointUpload: {
-          if (frame.subset >= subset_count) break;
-          SubsetSlot& slot = subsets[frame.subset];
-          const Artifact artifact = decode_artifact(frame.payload);
-          // Epoch fencing: a revoked-then-woken zombie reports with the
-          // old epoch and must not overwrite the live lease's progress.
-          if (frame.epoch != slot.epoch || slot.done ||
-              !artifact_ok(artifact)) {
-            ++result.stale_uploads_rejected;
-            break;
+        // The lease table's epoch fence: a revoked-then-woken zombie
+        // reports with the old epoch and must not overwrite the live
+        // lease's progress; a malformed obs report is refused like a
+        // hostile artifact path.
+        case FrameType::kCheckpointUpload:
+          if (leases.upload(frame.subset, frame.epoch, frame.sim_time,
+                            decode_artifact(frame.payload).path)) {
+            ++result.checkpoints_uploaded;
           }
-          slot.ckpt_path = artifact.path;
-          slot.resume_from = frame.sim_time;
-          ++result.checkpoints_uploaded;
           break;
-        }
-        case FrameType::kComplete: {
-          if (frame.subset >= subset_count) break;
-          SubsetSlot& slot = subsets[frame.subset];
-          const Artifact artifact = decode_artifact(frame.payload);
-          if (frame.epoch != slot.epoch || slot.done ||
-              !artifact_ok(artifact)) {
-            ++result.stale_uploads_rejected;
-            break;
-          }
-          slot.done = true;
-          slot.running = false;
-          slot.final_path = artifact.path;
-          if (peer.lease == frame.subset) peer.lease = kNoSubset;
+        case FrameType::kComplete:
+          leases.complete(frame.subset, frame.epoch,
+                          decode_artifact(frame.payload).path);
           break;
-        }
         case FrameType::kObsReport: {
-          // Same epoch fence as uploads: a zombie's report must not
-          // replace the live lease's, and a malformed payload is treated
-          // exactly like a hostile artifact path.
-          if (frame.subset >= subset_count) break;
-          SubsetSlot& slot = subsets[frame.subset];
-          if (frame.epoch != slot.epoch || slot.done) {
-            ++result.stale_uploads_rejected;
-            break;
-          }
+          std::optional<ObsReport> report;
           try {
-            ObsReport report = decode_obs_report(frame.payload);
-            result.cluster_obs.add_worker(frame.sender, frame.subset,
-                                          std::move(report.snapshot),
-                                          std::move(report.windows));
+            report = decode_obs_report(frame.payload);
           } catch (const std::exception&) {
-            ++result.stale_uploads_rejected;
+            // Undecodable: the fence below refuses it.
+          }
+          if (leases.report(frame.subset, frame.epoch, report.has_value())) {
+            result.cluster_obs.add_worker(frame.sender, frame.subset,
+                                          std::move(report->snapshot),
+                                          std::move(report->windows));
           }
           break;
         }
@@ -200,56 +151,42 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
     }
 
     // Liveness: a leased worker silent past the timeout is dead; fence
-    // its lease off and put the subset back in the pending pool.
-    for (auto& [id, peer] : peers) {
-      if (!peer.alive || peer.lease == kNoSubset) continue;
+    // its lease off and put the part back in the table.
+    for (std::uint32_t p = 0; p < leases.size(); ++p) {
+      const std::uint32_t holder = leases[p].holder;
+      if (holder == kNoWorker) continue;
+      WorkerPeer& peer = peers.at(holder);
       if (now - peer.last_seen_ms <= config_.heartbeat_timeout_ms) continue;
-      SubsetSlot& slot = subsets[peer.lease];
       peer.alive = false;
-      peer.lease = kNoSubset;
       ++result.worker_deaths;
       ++result.reassignments;
-      ++slot.epoch;  // stale uploads from the zombie now bounce
-      slot.running = false;
-      slot.available_at_ms = now + config_.retry_backoff_ms;
-      send(id, FrameType::kRevoke, slot.id, slot.epoch,
-           static_cast<std::uint64_t>(slot.resume_from));
+      leases.revoke(p, now, now);
+      send(holder, FrameType::kRevoke, p, leases[p].epoch,
+           leases[p].resume_from);
     }
 
-    // Assignment: pending subsets to idle live workers, in id order.
-    for (SubsetSlot& slot : subsets) {
-      if (slot.done || slot.running || now < slot.available_at_ms) continue;
+    // Assignment: pending parts to idle live workers, in id order.
+    for (std::uint32_t p = 0; p < leases.size(); ++p) {
+      const PartLease& part = leases[p];
+      if (part.done || part.holder != kNoWorker || now < part.available_at) {
+        continue;
+      }
       WorkerPeer* idle = nullptr;
       for (auto& [id, peer] : peers) {
-        if (peer.alive && peer.lease == kNoSubset) {
+        if (peer.alive && leases.held_by(id) == kNoSubset) {
           idle = &peer;
           break;
         }
       }
       if (idle == nullptr) break;
-      LeaseGrant grant;
-      grant.window_start = static_cast<std::uint64_t>(start);
-      grant.window_end = static_cast<std::uint64_t>(end);
-      grant.chunk_interval = static_cast<std::uint64_t>(config_.chunk_interval);
-      grant.resume_from = slot.resume_from;
-      grant.subset_count = subset_count;
-      grant.checkpoint_path = slot.ckpt_path;
-      idle->lease = slot.id;
       idle->last_seen_ms = now;
-      slot.running = true;
       ++result.leases_granted;
-      send(idle->id, FrameType::kLeaseGrant, slot.id, slot.epoch,
-           slot.resume_from, encode_lease_grant(grant));
+      const LeaseGrant grant = leases.grant(p, idle->id);
+      send(idle->id, FrameType::kLeaseGrant, p, part.epoch, grant.resume_from,
+           encode_lease_grant(grant));
     }
 
-    bool all_done = true;
-    for (const SubsetSlot& slot : subsets) {
-      if (!slot.done) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) break;
+    if (leases.all_done()) break;
     std::this_thread::sleep_for(
         std::chrono::milliseconds(config_.poll_interval_ms));
   }
@@ -265,26 +202,18 @@ CoordinatorResult Coordinator::run(util::SimTime start, util::SimTime end) {
   }
 
   // Deterministic merge over the final artifacts — byte-identical to the
-  // single-process run because each subset's checkpoint already is.
-  for (const SubsetSlot& slot : subsets) {
-    hitlist::CollectionCheckpoint final_ckpt =
-        hitlist::load_checkpoint_file(config_.dir + "/" + slot.final_path);
-    result.corpus.merge(final_ckpt.corpus);
-    result.polls_attempted += final_ckpt.state.polls_attempted;
-    result.polls_answered += final_ckpt.state.polls_answered;
-    if (result.vantage_health.size() < final_ckpt.state.vantage_health.size()) {
-      result.vantage_health.resize(final_ckpt.state.vantage_health.size());
-    }
-    for (std::size_t v = 0; v < final_ckpt.state.vantage_health.size(); ++v) {
-      const hitlist::VantageHealthStats& vh = final_ckpt.state.vantage_health[v];
-      result.vantage_health[v].polls += vh.polls;
-      result.vantage_health[v].answered += vh.answered;
-      result.vantage_health[v].lost_to_fault += vh.lost_to_fault;
-      result.vantage_health[v].retries += vh.retries;
-      result.vantage_health[v].steered_polls += vh.steered_polls;
-    }
+  // single-process run because each part's checkpoint already is.
+  result.stale_uploads_rejected = leases.rejected();
+  hitlist::CheckpointState totals;
+  for (std::uint32_t p = 0; p < leases.size(); ++p) {
+    merge_part(
+        hitlist::load_checkpoint_file(config_.dir + "/" + leases[p].artifact),
+        result.corpus, totals);
   }
   result.corpus.canonicalize();
+  result.polls_attempted = totals.polls_attempted;
+  result.polls_answered = totals.polls_answered;
+  result.vantage_health = std::move(totals.vantage_health);
   return result;
 }
 

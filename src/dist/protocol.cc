@@ -376,6 +376,33 @@ std::optional<std::string> validate_artifact_path(std::string_view path) {
   return std::nullopt;
 }
 
+std::optional<std::string> validate_lease_grant(const Frame& frame,
+                                                const LeaseGrant& grant) {
+  if (grant.window_end <= grant.window_start) {
+    return "lease window is empty or inverted";
+  }
+  if (grant.chunk_interval == 0) return "zero chunk interval";
+  if (grant.resume_from < grant.window_start ||
+      grant.resume_from >= grant.window_end) {
+    return "resume point outside the lease window";
+  }
+  if (grant.subset_count == 0) return "zero subset count";
+  if (frame.subset >= grant.subset_count) return "subset id out of range";
+  if (!grant.checkpoint_path.empty()) {
+    return validate_artifact_path(grant.checkpoint_path);
+  }
+  if (grant.resume_from != grant.window_start) {
+    return "recovery lease without a checkpoint path";
+  }
+  return std::nullopt;
+}
+
+std::string artifact_path(std::uint32_t part, std::uint32_t epoch,
+                          std::uint64_t t) {
+  return "ckpt/s" + std::to_string(part) + "-e" + std::to_string(epoch) +
+         "-t" + std::to_string(t) + ".v6ckpt";
+}
+
 std::optional<std::string> lint_dist_frames(std::string_view log) {
   const std::span<const std::uint8_t> bytes(
       reinterpret_cast<const std::uint8_t*>(log.data()), log.size());
@@ -417,24 +444,8 @@ std::optional<std::string> lint_dist_frames(std::string_view log) {
         } catch (const std::exception& e) {
           return fail(e.what());
         }
-        if (grant.window_end <= grant.window_start) {
-          return fail("lease window is empty or inverted");
-        }
-        if (grant.chunk_interval == 0) return fail("zero chunk interval");
-        if (grant.resume_from < grant.window_start ||
-            grant.resume_from >= grant.window_end) {
-          return fail("resume point outside the lease window");
-        }
-        if (grant.subset_count == 0) return fail("zero subset count");
-        if (frame.subset >= grant.subset_count) {
-          return fail("subset id out of range");
-        }
-        if (!grant.checkpoint_path.empty()) {
-          if (const auto why = validate_artifact_path(grant.checkpoint_path)) {
-            return fail(*why);
-          }
-        } else if (grant.resume_from != grant.window_start) {
-          return fail("recovery lease without a checkpoint path");
+        if (const auto why = validate_lease_grant(frame, grant)) {
+          return fail(*why);
         }
         break;
       }

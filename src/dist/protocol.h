@@ -17,7 +17,7 @@
 //   magic  "V6DIST01"   8 bytes
 //   type                u8   (FrameType)
 //   sender              u32  (worker id, or kCoordinatorId)
-//   subset              u32  (vantage subset the frame concerns, or
+//   subset              u32  (device part the frame concerns, or
 //                             kNoSubset for fleet-wide frames)
 //   epoch               u32  (lease fencing token, see below)
 //   seq                 u64  (per-sender, strictly increasing from 0)
@@ -26,7 +26,12 @@
 //   payload             payload_len bytes (type-specific, below)
 //   crc32               u32  over type..payload
 //
-// Lease fencing: every grant carries the subset's current epoch; the
+// A lease is one device part (util::Part): `subset` s of `subset_count`
+// S covers the contiguous device range s of S, so each worker simulates
+// about 1/S of the devices. The wire name `subset` predates device parts
+// and is kept so the byte layout stays unchanged.
+//
+// Lease fencing: every grant carries the part's current epoch; the
 // coordinator bumps the epoch when it revokes or reassigns a lease, and
 // rejects any upload stamped with a stale epoch. A worker that stalled
 // past the heartbeat timeout and then woke up cannot double-report work
@@ -78,7 +83,7 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-// kLeaseGrant payload: collect vantage subset `subset` (of subset_count)
+// kLeaseGrant payload: collect device part `subset` (of subset_count)
 // over [window_start, window_end), checkpointing every chunk_interval sim
 // seconds. resume_from > window_start means a recovery lease: replay up
 // to resume_from from the checkpoint at checkpoint_path, then record.
@@ -150,6 +155,21 @@ Artifact decode_artifact(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> encode_obs_report(const ObsReport& report);
 ObsReport decode_obs_report(std::span<const std::uint8_t> payload);
 
+// The semantic checks every lease grant must pass before a worker acts on
+// it: a non-empty window, a positive chunk interval, a resume point inside
+// the window, a part inside a non-zero part count, and a safe checkpoint
+// path (required exactly when resume_from is past window_start). Returns
+// the reason a grant is unacceptable, or nullopt.
+std::optional<std::string> validate_lease_grant(const Frame& frame,
+                                                const LeaseGrant& grant);
+
+// The one artifact naming rule: the V6CKPT01 checkpoint of part `part`,
+// epoch `epoch`, holding every sync event before `t` (interior chunk
+// boundaries for uploads, the window end for completion). Relative to the
+// run directory; always passes validate_artifact_path().
+std::string artifact_path(std::uint32_t part, std::uint32_t epoch,
+                          std::uint64_t t);
+
 // Artifact/checkpoint paths cross process boundaries, so they are treated
 // as hostile: relative, no "..", no NUL/newline, no leading '/', at most
 // 4096 bytes. Returns the reason a path is unacceptable, or nullopt.
@@ -159,9 +179,9 @@ std::optional<std::string> validate_artifact_path(std::string_view path);
 
 // Validates a concatenated V6DIST01 frame log (the bytes of frames.log or
 // an in-memory DistReport::frame_log). Checks per frame: framing, CRC,
-// known type, payload decodes and passes semantic validation (grant
-// windows ordered, chunk interval positive, resume point inside the
-// window, subset < subset_count, artifact paths safe); per sender:
+// known type, payload decodes and passes semantic validation (grants from
+// the coordinator passing validate_lease_grant, artifact paths safe); per
+// sender:
 // strictly increasing seq starting at 0; whole log: no trailing bytes.
 // Returns nullopt when the log is clean, else "frame N: reason".
 std::optional<std::string> lint_dist_frames(std::string_view log);

@@ -6,31 +6,17 @@
 #include <string>
 #include <string_view>
 
-#include "dist/obs_report.h"
+#include "dist/lease_table.h"
 #include "hitlist/checkpoint_io.h"
-
-#include "util/rng.h"
 
 namespace v6::dist {
 
 namespace {
 
-// Same raw-draw-to-[0,1) mapping as util::Rng::uniform(), applied to a
-// pure hash so the reassignment jitter never consumes an RNG stream.
-double unit(std::uint64_t h) noexcept {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 hitlist::Corpus clone(const hitlist::Corpus& src) {
   hitlist::Corpus out(std::max<std::size_t>(src.size(), 1));
   src.for_each([&out](const hitlist::AddressRecord& r) { out.add_record(r); });
   return out;
-}
-
-std::string checkpoint_path(std::uint32_t subset, std::uint32_t epoch,
-                            std::uint64_t resume_from) {
-  return "ckpt/s" + std::to_string(subset) + "-e" + std::to_string(epoch) +
-         "-t" + std::to_string(resume_from) + ".v6ckpt";
 }
 
 // Lease-aborting events, thrown out of the checkpoint sink.
@@ -42,52 +28,11 @@ struct LeaseRevoked {
   util::SimTime wake;
 };
 
-// Appends frames to the log with per-sender strictly-increasing seqs (the
-// invariant lint_dist_frames enforces).
-class Emitter {
- public:
-  explicit Emitter(std::vector<std::uint8_t>* log) : log_(log) {}
-
-  void emit(FrameType type, std::uint32_t sender, std::uint32_t subset,
-            std::uint32_t epoch, std::uint64_t sim_time,
-            std::vector<std::uint8_t> payload = {}) {
-    Frame frame;
-    frame.type = type;
-    frame.sender = sender;
-    frame.subset = subset;
-    frame.epoch = epoch;
-    frame.seq = seq_[sender]++;
-    frame.sim_time = sim_time;
-    frame.payload = std::move(payload);
-    const std::vector<std::uint8_t> bytes = encode_frame(frame);
-    log_->insert(log_->end(), bytes.begin(), bytes.end());
-  }
-
- private:
-  std::vector<std::uint8_t>* log_;
-  std::map<std::uint32_t, std::uint64_t> seq_;
-};
-
 struct WorkerState {
   std::uint32_t id = 0;
   util::SimTime free_at = 0;
   bool alive = true;
   bool said_hello = false;
-};
-
-struct SubsetState {
-  std::uint32_t id = 0;
-  bool done = false;
-  util::SimTime available_at = 0;
-  std::uint32_t epoch = 0;
-  std::uint32_t retries = 0;
-  // Failure instant awaiting its recovery grant (for latency accounting).
-  std::optional<util::SimTime> failed_at;
-  std::optional<hitlist::CollectionCheckpoint> ckpt;
-  hitlist::Corpus final_corpus{1};
-  std::uint64_t polls = 0;
-  std::uint64_t answered = 0;
-  std::vector<hitlist::VantageHealthStats> health;
 };
 
 }  // namespace
@@ -98,10 +43,7 @@ SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
                        const DistConfig& config,
                        netsim::WorkerFaultSchedule* faults,
                        obs::Registry* registry, obs::TimelineSampler* sampler)
-    : world_(&world),
-      plane_(&plane),
-      dns_(&dns),
-      collector_cfg_(collector_cfg),
+    : env_{&world, &plane, &dns, collector_cfg},
       config_(config),
       faults_(faults),
       registry_(registry),
@@ -112,10 +54,10 @@ SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
   if (config_.chunk_interval <= 0) {
     throw std::invalid_argument("SimCluster: chunk_interval must be > 0");
   }
-  if (collector_cfg_.wire_fidelity) {
+  if (env_.collector.wire_fidelity) {
     // The wire path serializes every poll through the shared DataPlane's
-    // mutable state; per-subset re-runs would each consume it and
-    // diverge. Fail loudly instead of silently losing bit-identity.
+    // mutable state; a device part would not see the plane state of the
+    // whole-world run. Fail loudly instead of silently losing bit-identity.
     throw std::invalid_argument(
         "SimCluster: wire_fidelity collection cannot be distributed");
   }
@@ -123,9 +65,7 @@ SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
 
 DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
                            util::SimTime end) {
-  const std::uint32_t subset_count =
-      config_.subsets != 0 ? config_.subsets
-                           : std::max<std::uint32_t>(1, config_.workers);
+  const std::uint32_t part_count = config_.workers;
   netsim::WorkerFaultSchedule local_plan =
       config_.worker_faults.active()
           ? netsim::WorkerFaultSchedule(config_.workers, config_.worker_faults,
@@ -145,13 +85,28 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
   netsim::WorkerFaultSchedule* plan = faults_ != nullptr ? faults_ : &local_plan;
 
   DistReport report;
-  report.subsets = subset_count;
+  report.parts = part_count;
   report.workers = config_.workers;
-  Emitter wire(&report.frame_log);
+  // Appends frames to the log with per-sender strictly-increasing seqs
+  // (the invariant lint_dist_frames enforces).
+  std::map<std::uint32_t, std::uint64_t> seq;
+  const auto emit = [&](FrameType type, std::uint32_t sender,
+                        std::uint32_t subset, std::uint32_t epoch,
+                        util::SimTime at,
+                        std::vector<std::uint8_t> payload = {}) {
+    const std::vector<std::uint8_t> bytes = encode_frame(
+        Frame{type, sender, subset, epoch, seq[sender]++,
+              static_cast<std::uint64_t>(at), std::move(payload)});
+    report.frame_log.insert(report.frame_log.end(), bytes.begin(),
+                            bytes.end());
+  };
 
-  const auto counter = [this](std::string_view name, std::string_view help,
-                              obs::Labels labels = {}) {
-    return registry_->counter(name, help, std::move(labels));
+  // Bumps a caller-registry counter; a no-op without a registry.
+  const auto count = [this](std::string_view name, std::string_view help,
+                            obs::Labels labels = {}, std::uint64_t n = 1) {
+    if (registry_ != nullptr) {
+      registry_->counter(name, help, std::move(labels)).inc(n);
+    }
   };
   const auto worker_labels = [](std::uint32_t w) {
     return obs::Labels{{"worker", std::to_string(w)}};
@@ -171,40 +126,20 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
   }
   std::uint32_t next_worker_id = config_.workers;
 
-  std::vector<SubsetState> subsets(subset_count);
-  for (std::uint32_t s = 0; s < subset_count; ++s) {
-    subsets[s].id = s;
-    subsets[s].available_at = start;
-  }
-
-  const auto backoff_until = [&](const SubsetState& ss,
-                                 util::SimTime from) -> util::SimTime {
-    // Capped exponential backoff with seeded jitter: retry r waits
-    // min(cap, backoff * 2^(r-1)) stretched by up to retry_jitter of
-    // itself. Pure hash -> deterministic at any scheduling order.
-    const std::uint32_t r = std::max<std::uint32_t>(ss.retries, 1);
-    util::SimDuration base = config_.retry_backoff;
-    for (std::uint32_t i = 1; i < r && base < config_.retry_cap; ++i) {
-      base *= 2;
-    }
-    base = std::min(base, config_.retry_cap);
-    const double jitter =
-        config_.retry_jitter *
-        unit(util::mix64(config_.seed ^ 0xba2c0ffu ^
-                         util::mix64((static_cast<std::uint64_t>(ss.id) << 32) |
-                                     r)));
-    return from + base +
-           static_cast<util::SimDuration>(static_cast<double>(base) * jitter);
-  };
+  LeaseTable leases(part_count, start, end, config_.chunk_interval,
+                    {static_cast<std::uint64_t>(config_.retry_backoff),
+                     static_cast<std::uint64_t>(config_.retry_cap),
+                     config_.retry_jitter, config_.seed});
+  // The simulated run directory: each part's last durable (state, corpus)
+  // pair — its latest accepted upload, then its final artifact.
+  std::vector<std::optional<hitlist::CollectionCheckpoint>> durable(
+      part_count);
 
   const auto kill_worker = [&](WorkerState& wk, util::SimTime at) {
     wk.alive = false;
     ++report.worker_deaths;
     set_alive(wk.id, 0.0);
-    if (registry_ != nullptr) {
-      counter("v6_dist_worker_deaths_total", "Worker processes that died")
-          .inc();
-    }
+    count("v6_dist_worker_deaths_total", "Worker processes that died");
     if (config_.respawn) {
       // The coordinator notices the death one heartbeat timeout after the
       // last heartbeat and provisions a replacement after respawn_delay.
@@ -216,40 +151,40 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
       set_alive(fresh.id, 1.0);
     }
   };
+  // A lease died or stalled out: one heartbeat timeout fired and the part
+  // goes back to the table for reassignment.
+  const auto count_revocation = [&](std::uint32_t worker, std::uint32_t p) {
+    ++report.timeouts;
+    ++report.reassignments;
+    count("v6_dist_timeouts_total", "Heartbeat timeouts fired",
+          worker_labels(worker));
+    count("v6_dist_reassignments_total", "Lease reassignments",
+          obs::Labels{{"subset", std::to_string(p)}});
+  };
 
-  const std::size_t vantage_count = world_->vantages().size();
-
-  while (true) {
-    bool all_done = true;
-    for (const SubsetState& ss : subsets) {
-      if (!ss.done) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) break;
-
-    // Earliest-start pairing, tie-broken by subset then worker id — a
+  while (!leases.all_done()) {
+    // Earliest-start pairing, tie-broken by part then worker id — a
     // deterministic event loop, not a heuristic scheduler.
-    SubsetState* best_ss = nullptr;
+    std::uint32_t best_p = kNoSubset;
     WorkerState* best_wk = nullptr;
     util::SimTime best_g = 0;
-    for (SubsetState& ss : subsets) {
-      if (ss.done) continue;
+    for (std::uint32_t p = 0; p < part_count; ++p) {
+      if (leases[p].done) continue;
       for (WorkerState& wk : workers) {
         if (!wk.alive) continue;
-        const util::SimTime g = std::max(ss.available_at, wk.free_at);
+        const util::SimTime g = std::max(
+            static_cast<util::SimTime>(leases[p].available_at), wk.free_at);
         if (const auto k = plan->kill_at(wk.id); k && *k <= g) continue;
-        if (best_ss == nullptr || g < best_g ||
-            (g == best_g && (ss.id < best_ss->id ||
-                             (ss.id == best_ss->id && wk.id < best_wk->id)))) {
-          best_ss = &ss;
+        if (best_wk == nullptr || g < best_g ||
+            (g == best_g && (p < best_p ||
+                             (p == best_p && wk.id < best_wk->id)))) {
+          best_p = p;
           best_wk = &wk;
           best_g = g;
         }
       }
     }
-    if (best_ss == nullptr) {
+    if (best_wk == nullptr) {
       // Every live worker is fated to die before it could start: process
       // the earliest planned death (which may respawn a replacement).
       WorkerState* doomed = nullptr;
@@ -271,90 +206,46 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
       continue;
     }
 
-    SubsetState& ss = *best_ss;
+    const std::uint32_t p = best_p;
     WorkerState& wk = *best_wk;
     const util::SimTime g = best_g;
 
     // --- grant ------------------------------------------------------------
     ++report.leases_granted;
-    if (registry_ != nullptr) {
-      counter("v6_dist_leases_total", "Chunk leases granted",
-              worker_labels(wk.id))
-          .inc();
-    }
+    count("v6_dist_leases_total", "Chunk leases granted",
+          worker_labels(wk.id));
     if (!wk.said_hello) {
       wk.said_hello = true;
-      wire.emit(FrameType::kHello, wk.id, kNoSubset, 0,
-                static_cast<std::uint64_t>(g));
+      emit(FrameType::kHello, wk.id, kNoSubset, 0, g);
     }
-    hitlist::CheckpointState from;
-    if (ss.ckpt) {
-      from = ss.ckpt->state;
-    } else {
-      from.window_start = start;
-      from.window_end = end;
-      from.resume_from = start;
-    }
-    if (ss.failed_at) {
-      report.recovery_latency_total +=
-          static_cast<std::uint64_t>(g - *ss.failed_at);
-      ss.failed_at.reset();
+    if (const auto failed_at = leases[p].failed_at) {
+      report.recovery_latency_total += static_cast<std::uint64_t>(g) -
+                                       *failed_at;
       // Recovery becomes a timeline window: the grant closes a
       // "dist.recover" window at the cluster instant work restarted.
       if (sampler_ != nullptr) {
         sampler_->sample(g, "dist.recover");
       }
     }
-    if (from.resume_from > from.window_start) {
-      const std::uint64_t replayed = static_cast<std::uint64_t>(
-          (from.resume_from - from.window_start) / config_.chunk_interval);
+    const std::uint32_t epoch = leases[p].epoch;
+    const LeaseGrant grant = leases.grant(p, wk.id);
+    // Sim seconds a recovery lease replays before it records again.
+    const std::uint64_t replay = grant.resume_from - grant.window_start;
+    if (replay > 0) {
+      const std::uint64_t replayed = replay / grant.chunk_interval;
       report.replayed_chunks += replayed;
-      if (registry_ != nullptr) {
-        counter("v6_dist_replayed_chunks_total",
-                "Already-checkpointed chunks replayed by recovery leases")
-            .inc(replayed);
-      }
+      count("v6_dist_replayed_chunks_total",
+            "Already-checkpointed chunks replayed by recovery leases", {},
+            replayed);
     }
-    LeaseGrant grant;
-    grant.window_start = static_cast<std::uint64_t>(start);
-    grant.window_end = static_cast<std::uint64_t>(end);
-    grant.chunk_interval = static_cast<std::uint64_t>(config_.chunk_interval);
-    grant.resume_from = static_cast<std::uint64_t>(from.resume_from);
-    grant.subset_count = subset_count;
-    if (ss.ckpt) {
-      grant.checkpoint_path = checkpoint_path(
-          ss.id, ss.epoch, static_cast<std::uint64_t>(from.resume_from));
-    }
-    wire.emit(FrameType::kLeaseGrant, kCoordinatorId, ss.id, ss.epoch,
-              static_cast<std::uint64_t>(g), encode_lease_grant(grant));
+    emit(FrameType::kLeaseGrant, kCoordinatorId, p, epoch, g,
+         encode_lease_grant(grant));
 
     // --- the lease itself -------------------------------------------------
-    // Per-lease observability: a private registry + sampler whose grid
-    // coincides with the checkpoint grid (same interval, same origin), so
-    // wiring them adds no merge barriers and perturbs neither the corpus
-    // nor the frame schedule. Aborted leases discard the pair; only the
-    // completing lease's report is uploaded.
-    obs::Registry lease_registry;
-    obs::TimelineSampler lease_sampler(lease_registry, config_.chunk_interval,
-                                       from.window_start);
-    hitlist::CollectorConfig cfg = collector_cfg_;
-    cfg.metrics = &lease_registry;
-    cfg.sampler = &lease_sampler;
-    cfg.checkpoint_interval = config_.chunk_interval;
-    cfg.vantage_filter.assign(vantage_count, false);
-    for (std::size_t v = 0; v < vantage_count; ++v) {
-      cfg.vantage_filter[v] = (v % subset_count == ss.id);
-    }
-    cfg.count_unassigned = (ss.id == 0);
-
-    hitlist::Corpus corpus =
-        ss.ckpt ? clone(ss.ckpt->corpus) : hitlist::Corpus(1 << 12);
-    hitlist::PassiveCollector collector(*world_, *plane_, *dns_, cfg);
-
     const std::optional<util::SimTime> kill = plan->kill_at(wk.id);
     // Lane clock: where this worker's process is on the cluster clock.
     util::SimTime lane = g;
-    util::SimTime prev = from.resume_from;
+    auto prev = static_cast<util::SimTime>(grant.resume_from);
 
     // Advances the lane over the chunk ending at `to`, applying slow
     // windows, and throws if the worker dies or stalls out on the way.
@@ -392,173 +283,118 @@ DistReport SimCluster::run(hitlist::Corpus& out, util::SimTime start,
       advance_to(state.resume_from);
       // Durable: the coordinator holds the (state, corpus) pair; a later
       // recovery lease resumes from exactly this instant.
-      ss.ckpt = hitlist::CollectionCheckpoint{state, clone(snapshot)};
-      wire.emit(FrameType::kHeartbeat, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(lane));
-      ++report.heartbeats;
-      Artifact artifact;
-      artifact.path = checkpoint_path(
-          ss.id, ss.epoch, static_cast<std::uint64_t>(state.resume_from));
-      artifact.bytes = snapshot.total_observations();
-      wire.emit(FrameType::kCheckpointUpload, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(lane), encode_artifact(artifact));
-      ++report.checkpoints_uploaded;
-      if (registry_ != nullptr) {
-        counter("v6_dist_uploads_total", "Durable checkpoint uploads",
-                worker_labels(wk.id))
-            .inc();
+      const auto t = static_cast<std::uint64_t>(state.resume_from);
+      const Artifact artifact{artifact_path(p, epoch, t),
+                              snapshot.total_observations()};
+      if (leases.upload(p, epoch, t, artifact.path)) {
+        durable[p] = hitlist::CollectionCheckpoint{state, clone(snapshot)};
       }
+      emit(FrameType::kHeartbeat, wk.id, p, epoch, lane);
+      ++report.heartbeats;
+      emit(FrameType::kCheckpointUpload, wk.id, p, epoch, lane,
+           encode_artifact(artifact));
+      ++report.checkpoints_uploaded;
+      count("v6_dist_uploads_total", "Durable checkpoint uploads",
+            worker_labels(wk.id));
     };
 
     try {
       // Replaying the checkpointed prefix is cheaper than collecting but
       // not free; the process can die mid-replay too.
-      if (from.resume_from > from.window_start) {
-        lane += static_cast<util::SimDuration>(
-            config_.replay_cost *
-            static_cast<double>(from.resume_from - from.window_start));
+      std::optional<hitlist::CollectionCheckpoint> resume;
+      if (replay > 0) {
+        lane += static_cast<util::SimDuration>(config_.replay_cost *
+                                               static_cast<double>(replay));
         if (kill && *kill <= lane) throw WorkerDied{*kill};
+        resume = hitlist::CollectionCheckpoint{durable[p]->state,
+                                               clone(durable[p]->corpus)};
       }
-      collector.resume(corpus, from, {}, sink);
+      LeaseResult result = run_lease(env_, p, grant, std::move(resume), sink);
       // The final partial chunk has no interior boundary; its upload is
       // the completion itself, and death or a stall-out on the way still
       // aborts the lease.
       advance_to(end);
-      ss.done = true;
-      ss.final_corpus = std::move(corpus);
-      ss.polls = collector.polls_attempted();
-      ss.answered = collector.polls_answered();
-      ss.health = collector.vantage_health();
-      // Close the lease's final window (the collector leaves the
-      // window-end sample to the caller) and upload the observability
-      // report at the completion barrier, just before kComplete.
-      lease_sampler.sample(static_cast<util::SimTime>(end), cfg.sampler_stage);
-      ObsReport obs_report = build_obs_report(collector, lease_sampler.take());
-      wire.emit(FrameType::kObsReport, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(lane),
-                encode_obs_report(obs_report));
-      report.cluster_obs.add_worker(wk.id, ss.id,
-                                    std::move(obs_report.snapshot),
-                                    std::move(obs_report.windows));
-      Artifact artifact;
-      artifact.path =
-          checkpoint_path(ss.id, ss.epoch, static_cast<std::uint64_t>(end));
-      artifact.bytes = ss.final_corpus.total_observations();
-      wire.emit(FrameType::kComplete, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(lane), encode_artifact(artifact));
+      // The observability report rides the completion barrier, just
+      // before kComplete.
+      emit(FrameType::kObsReport, wk.id, p, epoch, lane,
+           encode_obs_report(result.obs));
+      if (leases.report(p, epoch)) {
+        report.cluster_obs.add_worker(wk.id, p,
+                                      std::move(result.obs.snapshot),
+                                      std::move(result.obs.windows));
+      }
+      const Artifact artifact{artifact_path(p, epoch, grant.window_end),
+                              result.artifact.corpus.total_observations()};
+      emit(FrameType::kComplete, wk.id, p, epoch, lane,
+           encode_artifact(artifact));
+      if (leases.complete(p, epoch, artifact.path)) {
+        durable[p] = std::move(result.artifact);
+      }
       wk.free_at = lane;
       report.finished_at = std::max(report.finished_at, lane);
     } catch (const WorkerDied& died) {
       // Heartbeat silence from the death instant; detection one timeout
       // later; the lease is reassigned after backoff. Work since the last
       // durable upload is gone — and that is fine, the replacement
-      // replays it from ss.ckpt.
-      ++report.timeouts;
-      ++report.reassignments;
-      if (registry_ != nullptr) {
-        counter("v6_dist_timeouts_total", "Heartbeat timeouts fired",
-                worker_labels(wk.id))
-            .inc();
-        counter("v6_dist_reassignments_total", "Lease reassignments",
-                obs::Labels{{"subset", std::to_string(ss.id)}})
-            .inc();
-      }
-      const util::SimTime detected = died.at + config_.heartbeat_timeout;
+      // replays it from the part's durable checkpoint.
+      count_revocation(wk.id, p);
       kill_worker(wk, died.at);
-      ++ss.epoch;
-      ++ss.retries;
-      ss.available_at = backoff_until(ss, detected);
-      ss.failed_at = died.at;
+      leases.revoke(p, static_cast<std::uint64_t>(died.at),
+                    static_cast<std::uint64_t>(died.at +
+                                               config_.heartbeat_timeout));
     } catch (const LeaseRevoked& revoked) {
       // The worker stalled past the timeout: the coordinator fenced the
       // lease off (epoch bump) while the worker slept. Its upload on
-      // waking carries the stale epoch and bounces — the zombie cannot
-      // double-count anything.
-      ++report.timeouts;
-      ++report.reassignments;
-      ++report.stale_uploads_rejected;
-      if (registry_ != nullptr) {
-        counter("v6_dist_timeouts_total", "Heartbeat timeouts fired",
-                worker_labels(wk.id))
-            .inc();
-        counter("v6_dist_reassignments_total", "Lease reassignments",
-                obs::Labels{{"subset", std::to_string(ss.id)}})
-            .inc();
-        counter("v6_dist_stale_uploads_total",
-                "Uploads rejected by epoch fencing")
-            .inc();
+      // waking carries the stale epoch and bounces off the table's fence —
+      // the zombie cannot double-count anything.
+      count_revocation(wk.id, p);
+      leases.revoke(p, static_cast<std::uint64_t>(revoked.revoked_at),
+                    static_cast<std::uint64_t>(revoked.revoked_at));
+      emit(FrameType::kRevoke, kCoordinatorId, p, epoch,
+           revoked.revoked_at);
+      const auto t = static_cast<std::uint64_t>(prev);
+      const Artifact stale{artifact_path(p, epoch, t)};
+      emit(FrameType::kCheckpointUpload, wk.id, p, epoch, revoked.wake,
+           encode_artifact(stale));
+      if (!leases.upload(p, epoch, t, stale.path)) {
+        count("v6_dist_stale_uploads_total",
+              "Uploads rejected by epoch fencing");
       }
-      wire.emit(FrameType::kRevoke, kCoordinatorId, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(revoked.revoked_at));
-      Artifact stale;
-      stale.path = checkpoint_path(ss.id, ss.epoch,
-                                   static_cast<std::uint64_t>(prev));
-      wire.emit(FrameType::kCheckpointUpload, wk.id, ss.id, ss.epoch,
-                static_cast<std::uint64_t>(revoked.wake),
-                encode_artifact(stale));
-      ++ss.epoch;
-      ++ss.retries;
-      ss.available_at = backoff_until(ss, revoked.revoked_at);
-      ss.failed_at = revoked.revoked_at;
       wk.free_at = revoked.wake;
     }
   }
+  report.stale_uploads_rejected = leases.rejected();
 
-  wire.emit(FrameType::kShutdown, kCoordinatorId, kNoSubset, 0,
-            static_cast<std::uint64_t>(report.finished_at));
+  emit(FrameType::kShutdown, kCoordinatorId, kNoSubset, 0,
+       report.finished_at);
 
   // --- deterministic merge ------------------------------------------------
-  // Corpus aggregation is commutative and the subsets are disjoint, so
-  // this is the same reduce the sharded single-process run performs.
-  report.vantage_health.resize(vantage_count);
-  for (SubsetState& ss : subsets) {
-    out.merge(ss.final_corpus);
-    report.polls_attempted += ss.polls;
-    report.polls_answered += ss.answered;
-    for (std::size_t v = 0; v < ss.health.size() && v < vantage_count; ++v) {
-      report.vantage_health[v].polls += ss.health[v].polls;
-      report.vantage_health[v].answered += ss.health[v].answered;
-      report.vantage_health[v].lost_to_fault += ss.health[v].lost_to_fault;
-      report.vantage_health[v].retries += ss.health[v].retries;
-      report.vantage_health[v].steered_polls += ss.health[v].steered_polls;
-    }
+  // Corpus aggregation is commutative and the device parts are disjoint,
+  // so this is the same reduce the sharded single-process run performs.
+  hitlist::CheckpointState totals;
+  totals.vantage_health.resize(env_.world->vantages().size());
+  for (const std::optional<hitlist::CollectionCheckpoint>& part : durable) {
+    merge_part(*part, out, totals);
   }
   out.canonicalize();
+  report.polls_attempted = totals.polls_attempted;
+  report.polls_answered = totals.polls_answered;
+  report.vantage_health = totals.vantage_health;
 
-  if (registry_ != nullptr) {
-    // Collector-family totals, bulk-added post-merge exactly like the
-    // single-process collector's merge-time flush. The records counter is
-    // dedup-aware (union size), matching the single-process exposition.
-    counter("v6_collector_polls_total",
-            "NTP poll packets attempted by pool clients")
-        .inc(report.polls_attempted);
-    counter("v6_collector_answered_total",
-            "Poll attempts whose response passed client-side validation")
-        .inc(report.polls_answered);
-    counter("v6_collector_records_total",
-            "Unique client addresses admitted to the corpus")
-        .inc(out.size());
-    counter("v6_collector_dedup_hits_total",
-            "Observations folded into an existing corpus record")
-        .inc(out.total_observations() -
-             std::min<std::uint64_t>(out.total_observations(), out.size()));
-    counter("v6_dist_heartbeats_total", "Worker heartbeats received")
-        .inc(report.heartbeats);
-    for (std::size_t v = 0; v < vantage_count; ++v) {
-      const obs::Labels labels{{"vantage", std::to_string(v)}};
-      counter(obs::kVantagePollsFamily,
-              "Recorded poll packets steered to this vantage", labels)
-          .inc(report.vantage_health[v].polls);
-      counter(obs::kVantageAnsweredFamily,
-              "Poll attempts this vantage answered past client validation",
-              labels)
-          .inc(report.vantage_health[v].answered);
-      counter(obs::kVantageFaultLostFamily,
-              "Poll attempts the fault plan swallowed at this vantage",
-              labels)
-          .inc(report.vantage_health[v].lost_to_fault);
-    }
+  // Collector-family totals, bulk-added post-merge exactly like the
+  // single-process collector's merge-time flush. The records counter is
+  // dedup-aware (union size), matching the single-process exposition.
+  for (const obs::MetricSample& s : completion_snapshot(totals).samples) {
+    count(s.name, s.help, s.labels, s.counter_value);
   }
+  count("v6_collector_records_total",
+        "Unique client addresses admitted to the corpus", {}, out.size());
+  count("v6_collector_dedup_hits_total",
+        "Observations folded into an existing corpus record", {},
+        out.total_observations() -
+            std::min<std::uint64_t>(out.total_observations(), out.size()));
+  count("v6_dist_heartbeats_total", "Worker heartbeats received", {},
+        report.heartbeats);
   return report;
 }
 

@@ -1,16 +1,18 @@
 // In-process, fully deterministic simulation of the coordinator/worker
-// protocol: N simulated workers each collect a vantage subset under a
-// seeded netsim::WorkerFaultSchedule, a simulated coordinator grants
-// chunk leases, detects death/stalls by heartbeat silence, and reassigns
-// with capped exponential backoff + seeded jitter. The merged corpus is
-// bit-identical to the single-process run at ANY worker count and under
-// ANY fault plan — the cluster only decides WHEN work happens and how
-// often it is redone, never WHAT gets recorded:
+// protocol: N simulated workers collect N device parts under a seeded
+// netsim::WorkerFaultSchedule, a simulated coordinator grants chunk
+// leases, detects death/stalls by heartbeat silence, and reassigns with
+// capped exponential backoff + seeded jitter. Lease state — grant, epoch
+// fence, revoke, backoff — lives in the dist::LeaseTable the real
+// Coordinator drives too. The merged corpus is bit-identical to the
+// single-process run at ANY worker count and under ANY fault plan — the
+// cluster only decides WHEN work happens and how often it is redone,
+// never WHAT gets recorded:
 //
-//   * each worker runs the full device simulation (identical RNG draws,
-//     DNS steering, fault verdicts) but records only its vantage subset
-//     (CollectorConfig::vantage_filter), so disjoint subsets stay in
-//     lockstep and their union equals the unfiltered run;
+//   * lease part s of N simulates the contiguous device range s of N
+//     (CollectorConfig::part, util::Part); every device's stream derives
+//     only from its own seed, so each worker does about 1/N of the work
+//     and the union of the parts equals the whole-world run;
 //   * a lease executes through the existing checkpoint machinery — every
 //     chunk boundary uploads a durable (state, corpus) snapshot; a kill
 //     or revocation loses at most the chunks since the last upload;
@@ -33,9 +35,10 @@
 #include <vector>
 
 #include "dist/protocol.h"
+#include "dist/worker.h"
 #include "hitlist/corpus.h"
-#include "obs/cluster.h"
 #include "hitlist/passive_collector.h"
+#include "obs/cluster.h"
 #include "netsim/fault_schedule.h"
 #include "netsim/pool_dns.h"
 #include "obs/metrics.h"
@@ -46,11 +49,9 @@
 namespace v6::dist {
 
 struct DistConfig {
-  // Worker processes at cluster start (respawns may add more).
+  // Worker processes at cluster start (respawns may add more), and the
+  // number of device parts the window is leased out in.
   std::uint32_t workers = 4;
-  // Vantage subsets (vantage v belongs to subset v % subsets); 0 means
-  // one subset per initial worker.
-  std::uint32_t subsets = 0;
   // Sim-time spacing of chunk boundaries inside a lease: every boundary
   // uploads a durable checkpoint, so this is also the worst-case redo
   // after a death. Never changes the merged corpus.
@@ -58,9 +59,10 @@ struct DistConfig {
   // Heartbeat silence after which the coordinator declares a worker dead
   // or stalled-out and revokes its lease.
   util::SimDuration heartbeat_timeout = util::kDay;
-  // Reassignment backoff: retry r of a subset waits
-  // min(retry_cap, retry_backoff * 2^r), stretched by up to retry_jitter
-  // of itself (seeded jitter — a pure hash of (seed, subset, r)).
+  // Reassignment backoff (dist::LeaseBackoff): retry r of a part waits
+  // min(retry_cap, retry_backoff * 2^(r-1)), stretched by up to
+  // retry_jitter of itself (seeded jitter — a pure hash of (seed, part,
+  // r)).
   util::SimDuration retry_backoff = util::kHour;
   util::SimDuration retry_cap = 12 * util::kHour;
   double retry_jitter = 0.5;
@@ -89,18 +91,18 @@ struct DistConfig {
 // (the corpus is the result, and it never varies with any of this).
 struct DistReport {
   std::uint32_t workers = 0;         // including respawned replacements
-  std::uint32_t subsets = 0;
+  std::uint32_t parts = 0;           // device parts leased out
   std::uint64_t leases_granted = 0;
   std::uint64_t checkpoints_uploaded = 0;
   std::uint64_t heartbeats = 0;
   std::uint64_t worker_deaths = 0;
   std::uint64_t timeouts = 0;        // heartbeat timeouts fired
   std::uint64_t reassignments = 0;
-  std::uint64_t stale_uploads_rejected = 0;
+  std::uint64_t stale_uploads_rejected = 0;  // refused by the lease fence
   std::uint64_t replayed_chunks = 0;
   // Cluster-clock sum over reassignments of (recovery grant - failure).
   std::uint64_t recovery_latency_total = 0;
-  // Cluster-clock instant the last subset completed.
+  // Cluster-clock instant the last part completed.
   util::SimTime finished_at = 0;
   // Summed collector counters (equal to the single-process values).
   std::uint64_t polls_attempted = 0;
@@ -109,11 +111,11 @@ struct DistReport {
   // Concatenated V6DIST01 frames of everything said on the wire; passes
   // lint_dist_frames().
   std::vector<std::uint8_t> frame_log;
-  // Per-subset worker observability reports, decoded from the kObsReport
+  // Per-part worker observability reports, decoded from the kObsReport
   // frames each completing lease uploads. Counter families aggregate to
   // exactly the single-process values at any worker count and under any
   // fault plan (only the COMPLETING lease's cumulative totals count per
-  // subset — aborted leases upload nothing).
+  // part — aborted leases upload nothing).
   obs::ClusterAggregator cluster_obs;
 };
 
@@ -142,10 +144,7 @@ class SimCluster {
   DistReport run(hitlist::Corpus& out, util::SimTime start, util::SimTime end);
 
  private:
-  const sim::World* world_;
-  netsim::DataPlane* plane_;
-  const netsim::PoolDns* dns_;
-  hitlist::CollectorConfig collector_cfg_;
+  NodeEnv env_;  // the simulation every lease collects from
   DistConfig config_;
   netsim::WorkerFaultSchedule* faults_;
   obs::Registry* registry_;

@@ -1,10 +1,15 @@
 #include "dist/worker.h"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
-#include "dist/obs_report.h"
 #include "dist/transport.h"
 #include "hitlist/checkpoint_io.h"
 
@@ -13,6 +18,88 @@ namespace v6::dist {
 namespace {
 using Clock = std::chrono::steady_clock;
 }  // namespace
+
+obs::Snapshot completion_snapshot(const hitlist::CheckpointState& state) {
+  obs::Snapshot snap;
+  const auto counter = [&snap](std::string_view name, std::string_view help,
+                               obs::Labels labels, std::uint64_t value) {
+    obs::MetricSample s;
+    s.name = std::string(name);
+    s.help = std::string(help);
+    s.type = obs::MetricType::kCounter;
+    s.labels = std::move(labels);
+    s.counter_value = value;
+    snap.samples.push_back(std::move(s));
+  };
+  counter("v6_collector_polls_total",
+          "NTP poll packets attempted by pool clients", {},
+          state.polls_attempted);
+  counter("v6_collector_answered_total",
+          "Poll attempts whose response passed client-side validation", {},
+          state.polls_answered);
+  const auto& health = state.vantage_health;
+  for (std::size_t v = 0; v < health.size(); ++v) {
+    const obs::Labels labels{{"vantage", std::to_string(v)}};
+    counter(obs::kVantagePollsFamily,
+            "Recorded poll packets steered to this vantage", labels,
+            health[v].polls);
+    counter(obs::kVantageAnsweredFamily,
+            "Poll attempts this vantage answered past client validation",
+            labels, health[v].answered);
+    counter(obs::kVantageFaultLostFamily,
+            "Poll attempts the fault plan swallowed at this vantage", labels,
+            health[v].lost_to_fault);
+  }
+  std::sort(snap.samples.begin(), snap.samples.end(),
+            [](const obs::MetricSample& a, const obs::MetricSample& b) {
+              if (a.name != b.name) return a.name < b.name;
+              return a.labels < b.labels;
+            });
+  return snap;
+}
+
+LeaseResult run_lease(const NodeEnv& env, std::uint32_t part,
+                      const LeaseGrant& grant,
+                      std::optional<hitlist::CollectionCheckpoint> resume,
+                      const hitlist::CheckpointSink& sink) {
+  hitlist::CheckpointState from;
+  hitlist::Corpus corpus(1 << 12);
+  if (resume) {
+    from = std::move(resume->state);
+    corpus = std::move(resume->corpus);
+  } else {
+    from.window_start = static_cast<util::SimTime>(grant.window_start);
+    from.window_end = static_cast<util::SimTime>(grant.window_end);
+    from.resume_from = from.window_start;
+  }
+  hitlist::CollectorConfig cfg = env.collector;
+  cfg.part = {part, grant.subset_count};
+  cfg.checkpoint_interval =
+      static_cast<util::SimDuration>(grant.chunk_interval);
+  // A killed lease uploads no report; the replacement's report carries the
+  // checkpoint-restored cumulative totals.
+  obs::Registry registry;
+  obs::TimelineSampler sampler(registry, cfg.checkpoint_interval,
+                               from.window_start);
+  cfg.metrics = &registry;
+  cfg.sampler = &sampler;
+  hitlist::PassiveCollector collector(*env.world, *env.plane, *env.dns, cfg);
+  collector.resume(corpus, from, {}, sink);
+
+  hitlist::CheckpointState state;
+  state.window_start = from.window_start;
+  state.window_end = from.window_end;
+  state.resume_from = from.window_end;
+  state.polls_attempted = collector.polls_attempted();
+  state.polls_answered = collector.polls_answered();
+  state.vantage_health = collector.vantage_health();
+  // Close the lease's final window (the collector leaves the window-end
+  // sample to the caller).
+  sampler.sample(from.window_end, cfg.sampler_stage);
+  ObsReport obs{completion_snapshot(state), sampler.take()};
+  return {hitlist::CollectionCheckpoint{std::move(state), std::move(corpus)},
+          std::move(obs)};
+}
 
 Worker::Worker(const NodeEnv& env, const WorkerConfig& config)
     : env_(env), config_(config) {
@@ -31,15 +118,8 @@ void Worker::run() {
   const auto send = [&](FrameType type, std::uint32_t subset,
                         std::uint32_t epoch, std::uint64_t sim_time,
                         std::vector<std::uint8_t> payload = {}) {
-    Frame frame;
-    frame.type = type;
-    frame.sender = config_.id;
-    frame.subset = subset;
-    frame.epoch = epoch;
-    frame.seq = tx_seq++;
-    frame.sim_time = sim_time;
-    frame.payload = std::move(payload);
-    outbox.post(frame);
+    outbox.post(Frame{type, config_.id, subset, epoch, tx_seq++, sim_time,
+                      std::move(payload)});
   };
 
   send(FrameType::kHello, kNoSubset, 0,
@@ -57,57 +137,21 @@ void Worker::run() {
       const LeaseGrant grant = decode_lease_grant(frame.payload);
       const std::uint32_t subset = frame.subset;
       const std::uint32_t epoch = frame.epoch;
-      if (grant.subset_count == 0 || subset >= grant.subset_count) {
-        throw std::runtime_error("worker: malformed lease grant");
+      if (const auto why = validate_lease_grant(frame, grant)) {
+        throw std::runtime_error("worker: malformed lease grant: " + *why);
       }
 
-      hitlist::CollectorConfig cfg = env_.collector;
-      cfg.checkpoint_interval =
-          static_cast<util::SimDuration>(grant.chunk_interval);
-      const std::size_t vantage_count = env_.world->vantages().size();
-      cfg.vantage_filter.assign(vantage_count, false);
-      for (std::size_t v = 0; v < vantage_count; ++v) {
-        cfg.vantage_filter[v] = (v % grant.subset_count == subset);
-      }
-      cfg.count_unassigned = (subset == 0);
-
-      hitlist::CheckpointState from;
-      hitlist::Corpus corpus(1 << 12);
+      std::optional<hitlist::CollectionCheckpoint> resume;
       if (!grant.checkpoint_path.empty()) {
-        if (const auto why = validate_artifact_path(grant.checkpoint_path)) {
-          throw std::runtime_error("worker: hostile checkpoint path: " + *why);
-        }
-        hitlist::CollectionCheckpoint ckpt = hitlist::load_checkpoint_file(
-            config_.dir + "/" + grant.checkpoint_path);
-        from = std::move(ckpt.state);
-        corpus = std::move(ckpt.corpus);
-      } else {
-        from.window_start = static_cast<util::SimTime>(grant.window_start);
-        from.window_end = static_cast<util::SimTime>(grant.window_end);
-        from.resume_from = static_cast<util::SimTime>(grant.window_start);
+        resume = hitlist::load_checkpoint_file(config_.dir + "/" +
+                                               grant.checkpoint_path);
       }
 
-      // Per-lease observability: a private registry + sampler whose grid
-      // coincides with the checkpoint grid (same interval, anchored at the
-      // window start), so wiring them adds no merge barriers. The pair is
-      // uploaded as a kObsReport frame at the completion barrier; a killed
-      // worker uploads nothing and the replacement lease's report carries
-      // the checkpoint-restored cumulative totals.
-      obs::Registry lease_registry;
-      obs::TimelineSampler lease_sampler(lease_registry,
-                                         cfg.checkpoint_interval,
-                                         from.window_start);
-      cfg.metrics = &lease_registry;
-      cfg.sampler = &lease_sampler;
-
-      hitlist::PassiveCollector collector(*env_.world, *env_.plane, *env_.dns,
-                                          cfg);
       const auto sink = [&](const hitlist::CheckpointState& state,
                             const hitlist::Corpus& snapshot) {
         Artifact artifact;
-        artifact.path = "ckpt/s" + std::to_string(subset) + "-e" +
-                        std::to_string(epoch) + "-t" +
-                        std::to_string(state.resume_from) + ".v6ckpt";
+        artifact.path = artifact_path(
+            subset, epoch, static_cast<std::uint64_t>(state.resume_from));
         artifact.bytes = hitlist::save_checkpoint_file(
             config_.dir + "/" + artifact.path, state, snapshot);
         send(FrameType::kHeartbeat, subset, epoch,
@@ -120,33 +164,19 @@ void Worker::run() {
               std::chrono::milliseconds(config_.chunk_delay_ms));
         }
       };
-      collector.resume(corpus, from, {}, sink);
+      const LeaseResult result =
+          run_lease(env_, subset, grant, std::move(resume), sink);
 
       // Completion: the final (state, corpus) as one durable artifact the
-      // coordinator merges from.
-      hitlist::CheckpointState final_state;
-      final_state.window_start = from.window_start;
-      final_state.window_end = from.window_end;
-      final_state.resume_from = from.window_end;
-      final_state.polls_attempted = collector.polls_attempted();
-      final_state.polls_answered = collector.polls_answered();
-      final_state.vantage_health = collector.vantage_health();
+      // coordinator merges from, preceded by the observability report.
       Artifact artifact;
-      artifact.path = "ckpt/s" + std::to_string(subset) + "-final-e" +
-                      std::to_string(epoch) + ".v6ckpt";
+      artifact.path = artifact_path(subset, epoch, grant.window_end);
       artifact.bytes = hitlist::save_checkpoint_file(
-          config_.dir + "/" + artifact.path, final_state, corpus);
-      // Close the lease's final window (the collector leaves the
-      // window-end sample to the caller) and upload the observability
-      // report at the completion barrier, just before kComplete.
-      lease_sampler.sample(from.window_end, cfg.sampler_stage);
-      const ObsReport obs_report =
-          build_obs_report(collector, lease_sampler.take());
-      send(FrameType::kObsReport, subset, epoch,
-           static_cast<std::uint64_t>(from.window_end),
-           encode_obs_report(obs_report));
-      send(FrameType::kComplete, subset, epoch,
-           static_cast<std::uint64_t>(from.window_end),
+          config_.dir + "/" + artifact.path, result.artifact.state,
+          result.artifact.corpus);
+      send(FrameType::kObsReport, subset, epoch, grant.window_end,
+           encode_obs_report(result.obs));
+      send(FrameType::kComplete, subset, epoch, grant.window_end,
            encode_artifact(artifact));
       last_activity = Clock::now();
     }

@@ -1,6 +1,7 @@
 #include "hitlist/passive_collector.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "hitlist/tiered_corpus.h"
 #include "proto/ntp_packet.h"
@@ -34,6 +35,13 @@ PassiveCollector::PassiveCollector(const sim::World& world,
                                    const netsim::PoolDns& dns,
                                    const CollectorConfig& config)
     : world_(&world), plane_(&plane), dns_(&dns), config_(config) {
+  if (config_.wire_fidelity && config_.part.count > 1) {
+    // Every wire-path poll mutates the shared DataPlane, so a device part
+    // would not see the plane state the whole-world run sees.
+    throw std::invalid_argument(
+        "PassiveCollector: wire_fidelity collection cannot be split into "
+        "device parts");
+  }
   if (config_.metrics != nullptr) {
     obs::Registry& reg = *config_.metrics;
     metric_polls_ = reg.counter("v6_collector_polls_total",
@@ -92,12 +100,7 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
   bool steered = false;
   const sim::VantagePoint* vantage = dns_->resolve(client, ds.rng, t, &steered);
   const netsim::FaultSchedule* faults = plane_->faults();
-  // Vantage-subset filtering: `record` decides whether this worker OWNS
-  // the poll's vantage and therefore counts/records it. The simulation
-  // below runs identically either way — same draws, same fault verdicts,
-  // same retry control flow — so disjoint subsets stay in RNG lockstep.
-  const bool record =
-      shard.recording && vantage != nullptr && vantage_enabled(vantage->id);
+  const bool record = shard.recording && vantage != nullptr;
   if (record && steered) {
     ++shard.vantage[vantage->id].steered_polls;
   }
@@ -109,9 +112,8 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
     if (tk >= window_end) break;  // the collection window closes mid-burst
     if (vantage == nullptr) {
       // The poll went to one of the thousands of pool servers that are
-      // not ours — invisible to the study, and not retried here. Exactly
-      // one worker of a distributed fleet owns this tally.
-      if (shard.recording && config_.count_unassigned) ++shard.tally.polls;
+      // not ours — invisible to the study, and not retried here.
+      if (shard.recording) ++shard.tally.polls;
       continue;
     }
     VantageHealthStats& vh = shard.vantage[vantage->id];
@@ -197,13 +199,15 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
                                const CheckpointSink& sink) {
   const auto devices = world_->devices();
   const auto vantages = world_->vantages();
+  // This collector's device part; the thread shards nest inside it.
+  const util::Part::Range part = config_.part.range(devices.size());
   unsigned shards = config_.threads.resolved();
   // The wire path serializes every poll through the shared DataPlane
   // (UDP delivery mutates its loss RNG and routing state), so it stays
   // single-threaded; the fast path is the one built for scale.
   if (config_.wire_fidelity) shards = 1;
   shards = static_cast<unsigned>(std::min<std::size_t>(
-      shards, std::max<std::size_t>(devices.size(), 1)));
+      shards, std::max<std::size_t>(part.size(), 1)));
 
   // Counters carried in from the checkpoint (all zero on a fresh run).
   std::vector<VantageHealthStats> base_vh = from.vantage_health;
@@ -225,10 +229,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
       auto observation_sink = [this, shardp = &shard, &hook, mu,
                                address = vantage.address](
                                   const ntp::Observation& obs) {
-        // The server still serves filtered-out vantages (keeping both
-        // execution paths' state identical across workers); only the
-        // recording of the observation is subset-local.
-        if (!shardp->recording || !vantage_enabled(obs.vantage)) return;
+        if (!shardp->recording) return;
         shardp->corpus.add(obs.client, obs.time, obs.vantage);
         if (obs.vantage < shardp->vantage_obs.size()) {
           ++shardp->vantage_obs[obs.vantage];
@@ -246,11 +247,11 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
           std::make_unique<ntp::NtpServer>(vantage, observation_sink));
       if (config_.wire_fidelity) shard.servers.back()->bind(*plane_);
     }
-    // Contiguous device range (the same partition run_sharded uses), so
-    // the shard layout is a pure function of (device count, shard count).
-    const std::size_t range_begin = devices.size() * s / shards;
-    const std::size_t range_end = devices.size() * (s + 1) / shards;
-    for (std::size_t d = range_begin; d < range_end; ++d) {
+    // Shard s of the part's device range, so the layout is a pure
+    // function of (device count, part, shard count).
+    const util::Part::Range range = util::Part{s, shards}.range(part.size());
+    for (std::size_t d = part.begin + range.begin; d < part.begin + range.end;
+         ++d) {
       const sim::Device& dev = devices[d];
       if (!dev.ntp.uses_pool) continue;
       // Order-independent per-device stream: the collection result does
@@ -299,9 +300,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   std::uint64_t flushed_answered = 0;
   std::uint64_t flushed_records = 0;
   std::uint64_t flushed_dedup = 0;
-  std::vector<std::uint64_t> flushed_v_polls(vantages.size(), 0);
-  std::vector<std::uint64_t> flushed_v_answered(vantages.size(), 0);
-  std::vector<std::uint64_t> flushed_v_fault(vantages.size(), 0);
+  std::vector<VantageHealthStats> flushed_vh(vantages.size());
   std::vector<std::uint64_t> flushed_v_obs(vantages.size(), 0);
   const auto bump = [](obs::Counter& counter, std::uint64_t cumulative,
                        std::uint64_t& flushed) {
@@ -318,18 +317,14 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
         tiered_ != nullptr
             ? tiered_->total_observations() - observations_before
             : 0;
-    std::vector<std::uint64_t> v_polls(vantages.size(), 0);
-    std::vector<std::uint64_t> v_answered(vantages.size(), 0);
-    std::vector<std::uint64_t> v_fault(vantages.size(), 0);
+    std::vector<VantageHealthStats> vh(vantages.size());
     std::vector<std::uint64_t> v_obs(vantages.size(), 0);
     for (const ShardState& shard : states) {
       polls += shard.tally.polls;
       answered += shard.tally.answered;
       observations += shard.corpus.total_observations();
       for (std::size_t v = 0; v < shard.vantage.size(); ++v) {
-        v_polls[v] += shard.vantage[v].polls;
-        v_answered[v] += shard.vantage[v].answered;
-        v_fault[v] += shard.vantage[v].lost_to_fault;
+        vh[v] += shard.vantage[v];
         v_obs[v] += shard.vantage_obs[v];
       }
     }
@@ -342,9 +337,11 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
          flushed_dedup);
     for (std::size_t v = 0;
          v < std::min(vantages.size(), metric_vantage_polls_.size()); ++v) {
-      bump(metric_vantage_polls_[v], v_polls[v], flushed_v_polls[v]);
-      bump(metric_vantage_answered_[v], v_answered[v], flushed_v_answered[v]);
-      bump(metric_vantage_fault_lost_[v], v_fault[v], flushed_v_fault[v]);
+      bump(metric_vantage_polls_[v], vh[v].polls, flushed_vh[v].polls);
+      bump(metric_vantage_answered_[v], vh[v].answered,
+           flushed_vh[v].answered);
+      bump(metric_vantage_fault_lost_[v], vh[v].lost_to_fault,
+           flushed_vh[v].lost_to_fault);
       bump(metric_vantage_records_[v], v_obs[v], flushed_v_obs[v]);
     }
   };
@@ -469,13 +466,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
         snap.polls_attempted += shard.tally.polls;
         snap.polls_answered += shard.tally.answered;
         for (std::size_t v = 0; v < shard.vantage.size(); ++v) {
-          snap.vantage_health[v].polls += shard.vantage[v].polls;
-          snap.vantage_health[v].answered += shard.vantage[v].answered;
-          snap.vantage_health[v].lost_to_fault +=
-              shard.vantage[v].lost_to_fault;
-          snap.vantage_health[v].retries += shard.vantage[v].retries;
-          snap.vantage_health[v].steered_polls +=
-              shard.vantage[v].steered_polls;
+          snap.vantage_health[v] += shard.vantage[v];
         }
       }
       Corpus snapshot = union_snapshot();
@@ -514,11 +505,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     polls_ += shard.tally.polls;
     answered_ += shard.tally.answered;
     for (std::size_t v = 0; v < shard.vantage.size(); ++v) {
-      vantage_health_[v].polls += shard.vantage[v].polls;
-      vantage_health_[v].answered += shard.vantage[v].answered;
-      vantage_health_[v].lost_to_fault += shard.vantage[v].lost_to_fault;
-      vantage_health_[v].retries += shard.vantage[v].retries;
-      vantage_health_[v].steered_polls += shard.vantage[v].steered_polls;
+      vantage_health_[v] += shard.vantage[v];
     }
   }
   // Metrics cover what this run itself recorded (the checkpointed `from`
@@ -542,31 +529,15 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
 void PassiveCollector::run(Corpus& corpus, util::SimTime start,
                            util::SimTime end, const ObservationHook& hook,
                            const CheckpointSink& sink) {
-  CheckpointState fresh;
-  fresh.window_start = start;
-  fresh.window_end = end;
-  fresh.resume_from = start;
-  collect(corpus, fresh, hook, sink);
+  collect(corpus, CheckpointState{start, end, start, 0, 0, {}}, hook, sink);
 }
 
 void PassiveCollector::run(TieredCorpus& runs, util::SimTime start,
                            util::SimTime end, const ObservationHook& hook,
                            const CheckpointSink& sink) {
-  tiered_ = &runs;
-  // Scratch stand-in for the caller corpus: collect() keeps it empty in
-  // tiered mode (shards spill instead of merging into it).
-  Corpus scratch(1);
-  CheckpointState fresh;
-  fresh.window_start = start;
-  fresh.window_end = end;
-  fresh.resume_from = start;
-  try {
-    collect(scratch, fresh, hook, sink);
-  } catch (...) {
-    tiered_ = nullptr;
-    throw;
-  }
-  tiered_ = nullptr;
+  // A fresh run is a resume from an empty snapshot at the window start.
+  resume(runs, Corpus(1), CheckpointState{start, end, start, 0, 0, {}}, hook,
+         sink);
 }
 
 void PassiveCollector::resume(Corpus& corpus, const CheckpointState& from,
@@ -585,6 +556,8 @@ void PassiveCollector::resume(TieredCorpus& runs, Corpus&& snapshot,
   // from an uninterrupted spilled run, but the k-way merge erases
   // boundaries — the merged stream is a pure function of content.
   if (snapshot.size() > 0) runs.spill(std::move(snapshot));
+  // Scratch stand-in for the caller corpus: collect() keeps it empty in
+  // tiered mode (shards spill instead of merging into it).
   Corpus scratch(1);
   try {
     collect(scratch, from, hook, sink);

@@ -19,12 +19,14 @@
 // re-sends with exponential backoff, which is what lets the corpus survive
 // vantage crash windows (see netsim::FaultSchedule) with bounded loss.
 //
-// Collection shards across threads: devices are partitioned into
-// contiguous ranges, each shard runs the per-device loop into its own
-// Corpus, and the shards reduce through Corpus::merge(). Because every
-// device's observation stream derives only from its own seeded RNG, the
-// merged corpus is bit-identical (size, total_observations, every record
-// field) to the threads=1 run — a property the tests assert.
+// Collection shards across threads and machines by one rule (util::Part):
+// CollectorConfig::part picks a contiguous device range, the thread
+// shards split that range again, each shard runs the per-device loop into
+// its own Corpus, and the shards reduce through Corpus::merge(). Because
+// every device's observation stream derives only from its own seeded RNG,
+// the merged corpus is bit-identical (size, total_observations, every
+// record field) to the threads=1 run, and the union of all parts to the
+// whole-world run — properties the tests assert.
 //
 // Checkpoint/resume: with `checkpoint_interval > 0` and a CheckpointSink,
 // collection pauses at every sim-time boundary window_start + k*interval,
@@ -100,21 +102,12 @@ struct CollectorConfig {
   // Stage tag the sampler stamps on windows closed inside this collector
   // (the backscan pass runs a second collector with its own tag).
   std::string sampler_stage = "collect";
-  // Distributed-collection vantage subset: when non-empty, only polls to
-  // vantage ids v with vantage_filter[v] == true are *recorded* (corpus
-  // observations, tallies, per-vantage health). Every device still runs
-  // its full simulation — identical RNG draws, DNS steering, fault
-  // verdicts, and retry control flow — so N workers with disjoint filters
-  // merge bit-identically to one unfiltered run (Corpus aggregation is
-  // commutative and each poll is recorded by exactly one worker). Empty
-  // means record everything.
-  std::vector<bool> vantage_filter;
-  // Polls steered to pool servers that are not our vantages (the
-  // "invisible" tally) must be counted by exactly one worker for the
-  // summed polls_attempted to match the single-process value; the dist
-  // layer sets this true only on the subset-0 worker. Irrelevant (and
-  // left true) when vantage_filter is empty.
-  bool count_unassigned = true;
+  // Device part this collector simulates (see util::Part): part `index`
+  // of `count` over World::devices(), with the thread shards nested
+  // inside it. Every device's stream derives only from its own seed, so
+  // the `count` parts of a distributed run merge bit-identically to the
+  // default whole-world part {0, 1}, counters included.
+  util::Part part = {};
   // Serving-layer epoch publication (see serve::QueryService). With a
   // sink and a positive interval, the chunk loop pauses at every sim-time
   // boundary window_start + k * epoch_interval, joins all shards, and
@@ -140,6 +133,15 @@ struct VantageHealthStats {
   std::uint64_t lost_to_fault = 0;  // attempts the fault plan swallowed
   std::uint64_t retries = 0;        // re-sends triggered by silence
   std::uint64_t steered_polls = 0;  // sync events won via health steering
+
+  VantageHealthStats& operator+=(const VantageHealthStats& o) noexcept {
+    polls += o.polls;
+    answered += o.answered;
+    lost_to_fault += o.lost_to_fault;
+    retries += o.retries;
+    steered_polls += o.steered_polls;
+    return *this;
+  }
 };
 
 // The resumable cursor written alongside every corpus snapshot: where the
@@ -286,14 +288,6 @@ class PassiveCollector {
   // One sync event (burst + per-packet retries) for one device.
   void process_event(ShardState& shard, DeviceState& ds, util::SimTime t,
                      util::SimTime window_end) const;
-
-  // Whether this collector records traffic at the vantage (true for all
-  // vantages when CollectorConfig::vantage_filter is empty).
-  bool vantage_enabled(std::uint8_t vantage) const noexcept {
-    return config_.vantage_filter.empty() ||
-           (vantage < config_.vantage_filter.size() &&
-            config_.vantage_filter[vantage]);
-  }
 
   const sim::World* world_;
   netsim::DataPlane* plane_;

@@ -100,7 +100,7 @@ Snapshot ClusterAggregator::cluster_snapshot() const {
   std::map<Key, MetricSample> counters;
   // Gauges and bound-mismatched histograms keyed with the worker label
   // already appended; a same-identity re-report (one worker completing
-  // two subsets) overwrites — last value wins, it is a point-in-time
+  // two parts) overwrites — last value wins, it is a point-in-time
   // fact, not an increment.
   std::map<Key, MetricSample> per_worker;
   // Histogram groups under original identity; folded after the scan so a

@@ -9,8 +9,8 @@
 // Merge semantics:
 //   * counters    — summed across workers under their ORIGINAL labels.
 //                   The deterministic collector families (polls, answered,
-//                   per-vantage health) are each recorded by exactly one
-//                   subset, so the cluster sum is bit-identical to the
+//                   per-vantage health) count each device in exactly one
+//                   lease part, so the cluster sum is bit-identical to the
 //                   single-process run's counters at any worker count
 //                   under any fault plan — the identity the dist tests
 //                   pin down.
@@ -72,9 +72,10 @@ HistogramSummary summarize_histogram(const HistogramData& histogram);
 
 class ClusterAggregator {
  public:
-  // Folds one worker's report in. A report for an already-seen subset
-  // replaces the previous one (lease reassignment: only the completing
-  // lease's state counts — keeping both would double-count the subset).
+  // Folds one worker's report in. A report for an already-seen part
+  // (`subset` on the wire) replaces the previous one (lease reassignment:
+  // only the completing lease's state counts — keeping both would
+  // double-count the part).
   void add_worker(std::uint32_t worker, std::uint32_t subset,
                   Snapshot snapshot, Timeline timeline);
 

@@ -17,7 +17,31 @@
 // code should prefer the named helpers.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
 namespace v6::util {
+
+// The one partitioning rule, shared by thread shards (run_sharded), the
+// collector's per-thread device layout, and distributed device-range
+// leases: part `index` of `count` over [0, items) is the contiguous range
+// [items*index/count, items*(index+1)/count). Parts tile the items in
+// order and differ in size by at most one; nesting (a thread shard inside
+// a lease part) applies the rule again to the part's own size.
+struct Part {
+  std::uint32_t index = 0;
+  std::uint32_t count = 1;
+
+  struct Range {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    constexpr std::size_t size() const noexcept { return end - begin; }
+  };
+
+  constexpr Range range(std::size_t items) const noexcept {
+    return {items * index / count, items * (index + 1) / count};
+  }
+};
 
 struct Parallelism {
   unsigned threads = 0;  // 0 = hardware, 1 = serial, N = exactly N

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/parallelism.h"
+
 namespace v6::util {
 
 unsigned ThreadPool::hardware_threads() noexcept {
@@ -64,9 +66,8 @@ void run_sharded(
   }
   ThreadPool pool(shards);
   for (unsigned s = 0; s < shards; ++s) {
-    const std::size_t begin = items * s / shards;
-    const std::size_t end = items * (s + 1) / shards;
-    pool.submit([&fn, s, begin, end] { fn(s, begin, end); });
+    const Part::Range r = Part{s, shards}.range(items);
+    pool.submit([&fn, s, r] { fn(s, r.begin, r.end); });
   }
   pool.wait_idle();
 }

@@ -54,8 +54,8 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Partitions [0, items) into `shards` contiguous ranges and runs
-// fn(shard_index, begin, end) for each — on the calling thread when
+// Partitions [0, items) into `shards` contiguous ranges (util::Part) and
+// runs fn(shard_index, begin, end) for each — on the calling thread when
 // `shards <= 1` (the exact serial path), otherwise on a transient
 // ThreadPool of `shards` workers, returning once every shard finished.
 // Ranges differ in size by at most one item.

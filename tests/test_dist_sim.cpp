@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -77,9 +78,10 @@ class DistIdentityTest : public ::testing::Test {
 core::Study* DistIdentityTest::study_ = nullptr;
 std::string* DistIdentityTest::reference_ = nullptr;
 
-// The acceptance matrix: workers {1, 2, 4} x forced kills {0, 1, 2}.
+// The acceptance matrix: workers {1, 2, 3, 4, 7} x forced kills {0, 1, 2}.
+// 3 and 7 split the devices into uneven ranges.
 TEST_F(DistIdentityTest, WorkerAndKillMatrixIsByteIdentical) {
-  for (const std::uint32_t workers : {1u, 2u, 4u}) {
+  for (const std::uint32_t workers : {1u, 2u, 3u, 4u, 7u}) {
     for (const std::uint32_t kills : {0u, 1u, 2u}) {
       DistConfig config;
       config.workers = workers;
@@ -89,6 +91,7 @@ TEST_F(DistIdentityTest, WorkerAndKillMatrixIsByteIdentical) {
       const DistReport report = run_cluster(config, merged);
       EXPECT_EQ(corpus_bytes(merged), *reference_)
           << workers << " workers, " << kills << " kills";
+      EXPECT_EQ(report.parts, workers);
       EXPECT_EQ(report.worker_deaths, std::min(kills, workers))
           << workers << " workers, " << kills << " kills";
       EXPECT_EQ(report.polls_attempted, study_->results().polls_attempted);
@@ -129,9 +132,9 @@ TEST_F(DistIdentityTest, KillAtEveryChunkBoundaryIsByteIdentical) {
   }
 }
 
-// Vantage-subset partition sanity: per-vantage health splits across
-// subsets and reassembles to the single-process totals exactly.
-TEST_F(DistIdentityTest, VantageHealthReassembles) {
+// Device-part partition sanity: per-vantage health splits across the
+// parts' devices and sums back to the single-process totals exactly.
+TEST_F(DistIdentityTest, VantageHealthSumsAcrossDeviceParts) {
   DistConfig config;
   config.workers = 4;
   hitlist::Corpus merged(1);
@@ -144,11 +147,16 @@ TEST_F(DistIdentityTest, VantageHealthReassembles) {
     EXPECT_EQ(report.vantage_health[v].lost_to_fault,
               reference[v].lost_to_fault)
         << v;
+    EXPECT_EQ(report.vantage_health[v].retries, reference[v].retries) << v;
+    EXPECT_EQ(report.vantage_health[v].steered_polls,
+              reference[v].steered_polls)
+        << v;
   }
 }
 
 // A stall longer than the heartbeat timeout gets its lease revoked; when
-// the zombie wakes, its stale-epoch upload must bounce (no double count).
+// the zombie wakes, its stale-epoch upload must bounce off the lease
+// table's fence (no double count): one refusal per revocation.
 TEST_F(DistIdentityTest, StalledZombieUploadsAreFencedOff) {
   DistConfig config;
   config.workers = 2;
@@ -160,8 +168,18 @@ TEST_F(DistIdentityTest, StalledZombieUploadsAreFencedOff) {
   const DistReport report = run_cluster(config, merged, &plan);
   EXPECT_EQ(corpus_bytes(merged), *reference_);
   EXPECT_GE(report.timeouts, 1u);
-  EXPECT_GE(report.stale_uploads_rejected, 1u);
   EXPECT_GE(report.reassignments, 1u);
+  std::uint64_t revokes = 0;
+  const std::span<const std::uint8_t> log(report.frame_log);
+  for (std::size_t at = 0; at < log.size();) {
+    std::size_t consumed = 0;
+    if (decode_frame(log.subspan(at), &consumed).type == FrameType::kRevoke) {
+      ++revokes;
+    }
+    at += consumed;
+  }
+  EXPECT_GE(revokes, 1u);
+  EXPECT_EQ(report.stale_uploads_rejected, revokes);
 }
 
 // A seeded stochastic fault plan (kills + stalls + slowdowns) still
@@ -203,8 +221,8 @@ std::uint64_t vantage_counter(const obs::Snapshot& snapshot,
 // The cluster observability identity: the deterministic counter families
 // aggregated from the per-lease kObsReport uploads equal the
 // single-process collector totals bit-for-bit at any worker count under
-// faults — only the completing lease per subset reports, so reassignment
-// never double-counts.
+// faults — only the completing lease per device part reports, so
+// reassignment never double-counts.
 TEST_F(DistIdentityTest, ClusterObsCountersMatchSingleProcessBitForBit) {
   const auto& reference = study_->results();
   for (const std::uint32_t workers : {1u, 2u, 4u}) {
@@ -215,7 +233,7 @@ TEST_F(DistIdentityTest, ClusterObsCountersMatchSingleProcessBitForBit) {
     hitlist::Corpus merged(1);
     const DistReport report = run_cluster(config, merged);
 
-    // One report per subset (subsets default to the worker count), and
+    // One report per device part (one part per worker), and
     // the merged counter families reassemble the single-process totals.
     EXPECT_EQ(report.cluster_obs.report_count(), workers);
     const obs::Snapshot snap = report.cluster_obs.cluster_snapshot();

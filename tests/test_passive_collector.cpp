@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
+
+#include "hitlist/corpus_io.h"
 
 namespace v6::hitlist {
 namespace {
@@ -253,47 +257,79 @@ TEST_F(PassiveCollectorTest, WindowBoundsRespected) {
   });
 }
 
-// The distributed-collection partition property: S workers recording
-// disjoint vantage subsets (v % S), with only subset 0 counting
-// unassigned polls, merge bit-identically to one unfiltered run — every
-// record field, every counter.
-TEST_F(PassiveCollectorTest, VantageSubsetPartitionReassembles) {
+std::string corpus_bytes(const Corpus& corpus) {
+  std::ostringstream out(std::ios::binary);
+  save_corpus(out, corpus);
+  return std::move(out).str();
+}
+
+// The distributed-collection partition property: K collectors over the K
+// contiguous device parts (util::Part) merge bit-identically to one
+// whole-world run — corpus bytes, poll counters and per-vantage health —
+// including when K exceeds the device count and some parts are empty.
+void expect_device_parts_reassemble(const sim::World& world,
+                                    std::uint32_t parts) {
   CollectorConfig base;
   base.loss_rate = 0.01;
   base.retry_limit = 2;
+  base.threads = 3;
   const util::SimTime start = 0;
   const util::SimTime end = 5 * util::kDay;
+  const auto run = [&](const CollectorConfig& cfg, Corpus& out) {
+    netsim::DataPlane plane(world, {cfg.loss_rate, 1});
+    netsim::PoolDns dns(world);
+    PassiveCollector collector(world, plane, dns, cfg);
+    collector.run(out, start, end);
+    return collector;
+  };
 
-  netsim::DataPlane ref_plane(*world_, {base.loss_rate, 1});
-  netsim::PoolDns ref_dns(*world_);
-  PassiveCollector reference_collector(*world_, ref_plane, ref_dns, base);
   Corpus reference(1 << 12);
-  reference_collector.run(reference, start, end);
+  const PassiveCollector whole = run(base, reference);
 
-  const std::size_t vantage_count = world_->vantages().size();
-  for (const std::uint32_t subset_count : {2u, 3u}) {
-    Corpus merged(1 << 12);
-    std::uint64_t polls = 0, answered = 0;
-    for (std::uint32_t s = 0; s < subset_count; ++s) {
-      CollectorConfig cfg = base;
-      cfg.vantage_filter.assign(vantage_count, false);
-      for (std::size_t v = 0; v < vantage_count; ++v) {
-        cfg.vantage_filter[v] = (v % subset_count == s);
-      }
-      cfg.count_unassigned = (s == 0);
-      netsim::DataPlane plane(*world_, {cfg.loss_rate, 1});
-      netsim::PoolDns dns(*world_);
-      PassiveCollector collector(*world_, plane, dns, cfg);
-      Corpus part(1 << 12);
-      collector.run(part, start, end);
-      merged.merge(part);
-      polls += collector.polls_attempted();
-      answered += collector.polls_answered();
+  Corpus merged(1 << 12);
+  std::uint64_t polls = 0, answered = 0;
+  std::vector<VantageHealthStats> health(world.vantages().size());
+  for (std::uint32_t p = 0; p < parts; ++p) {
+    CollectorConfig cfg = base;
+    cfg.part = {p, parts};
+    Corpus part(1 << 12);
+    const PassiveCollector collector = run(cfg, part);
+    merged.merge(part);
+    polls += collector.polls_attempted();
+    answered += collector.polls_answered();
+    for (std::size_t v = 0; v < health.size(); ++v) {
+      health[v] += collector.vantage_health()[v];
     }
-    expect_identical_corpora(merged, reference);
-    EXPECT_EQ(polls, reference_collector.polls_attempted()) << subset_count;
-    EXPECT_EQ(answered, reference_collector.polls_answered()) << subset_count;
   }
+  merged.canonicalize();
+  EXPECT_EQ(corpus_bytes(merged), corpus_bytes(reference)) << parts;
+  EXPECT_EQ(polls, whole.polls_attempted()) << parts;
+  EXPECT_EQ(answered, whole.polls_answered()) << parts;
+  for (std::size_t v = 0; v < health.size(); ++v) {
+    const VantageHealthStats& want = whole.vantage_health()[v];
+    EXPECT_EQ(health[v].polls, want.polls) << parts << " parts, vantage " << v;
+    EXPECT_EQ(health[v].answered, want.answered) << parts << " parts, " << v;
+    EXPECT_EQ(health[v].lost_to_fault, want.lost_to_fault) << parts;
+    EXPECT_EQ(health[v].retries, want.retries) << parts << " parts, " << v;
+    EXPECT_EQ(health[v].steered_polls, want.steered_polls) << parts;
+  }
+}
+
+TEST_F(PassiveCollectorTest, DevicePartsReassemble) {
+  for (const std::uint32_t parts : {2u, 3u, 7u}) {
+    expect_device_parts_reassemble(*world_, parts);
+  }
+}
+
+TEST(PassiveCollectorParts, MorePartsThanDevicesLeavesEmptyPartsHarmless) {
+  sim::WorldConfig config;
+  config.seed = 56;
+  config.total_sites = 2;
+  config.study_duration = 7 * util::kDay;
+  const sim::World tiny = sim::World::generate(config);
+  ASSERT_GT(tiny.devices().size(), 0u);
+  expect_device_parts_reassemble(
+      tiny, static_cast<std::uint32_t>(tiny.devices().size()) + 3);
 }
 
 }  // namespace
