@@ -62,10 +62,10 @@ double timed_seconds(const std::string& label,
                      const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
-  const auto elapsed =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start);
-  const double seconds = static_cast<double>(elapsed.count()) / 1000.0;
+  // Full clock resolution: a stage under a millisecond must not read 0.
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
   std::printf("[%s: %.1fs]\n", label.c_str(), seconds);
   return seconds;
 }

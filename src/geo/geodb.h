@@ -21,7 +21,9 @@ class GeoDatabase {
   // Registers a prefix->country mapping; later insertions overwrite.
   void add(const net::Ipv6Prefix& prefix, CountryCode country);
 
-  // Longest-prefix match on the registered entries.
+  // Longest-prefix match on the registered entries. Probes one map entry
+  // per prefix length that add() has seen, most specific first, so a
+  // database of /32s alone costs one find per lookup.
   std::optional<CountryCode> lookup(const net::Ipv6Address& address) const;
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -30,6 +32,9 @@ class GeoDatabase {
   // Keyed by (hi64 of prefix address, prefix length); we only ever register
   // prefixes of length <= 64, which the add() precondition enforces.
   std::map<std::pair<std::uint64_t, int>, CountryCode> entries_;
+  // Registered lengths: bit (length - 1) for /1../64, plus the /0 flag.
+  std::uint64_t lengths_ = 0;
+  bool has_default_ = false;
 };
 
 }  // namespace v6::geo

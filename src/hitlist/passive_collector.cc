@@ -93,12 +93,18 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
     return;
   }
   const sim::Device& dev = world_->devices()[ds.id];
-  const net::Ipv6Address client = world_->device_address(ds.id, t);
   // One DNS resolution per sync event; every packet of an iburst (and
-  // every retry) rides it to the same server. Health-aware steering may
-  // redirect the pick away from a monitored-down vantage.
+  // every retry) rides it to the same server. The client's address is
+  // derived only once the capture roll says a vantage hears the poll (see
+  // the header comment). Health-aware steering may redirect the pick away
+  // from a monitored-down vantage.
   bool steered = false;
-  const sim::VantagePoint* vantage = dns_->resolve(client, ds.rng, t, &steered);
+  const sim::VantagePoint* vantage = nullptr;
+  net::Ipv6Address client;
+  if (dns_->captured(ds.rng)) {
+    client = world_->device_address(ds.id, t);
+    vantage = dns_->resolve(client, ds.rng, t, &steered);
+  }
   const netsim::FaultSchedule* faults = plane_->faults();
   const bool record = shard.recording && vantage != nullptr;
   if (record && steered) {

@@ -15,6 +15,12 @@
 // and — at zero loss — the corpora are bit-identical even under an
 // injected fault plan.
 //
+// Most sync events are invisible to the study: the pool sends them to
+// servers that are not ours (PoolDns::captured draws that roll first).
+// The client's address is derived only for a captured event, which keeps
+// every device's draws in the same order while skipping the address work
+// for the rest.
+//
 // Clients retry unanswered polls RFC 5905-style: up to `retry_limit`
 // re-sends with exponential backoff, which is what lets the corpus survive
 // vantage crash windows (see netsim::FaultSchedule) with bounded loss.

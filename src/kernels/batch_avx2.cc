@@ -25,6 +25,12 @@
 
 #include "net/entropy.h"
 
+// util/rng.h defines its draw primitives inline; compiled here they would
+// be AVX2 code the linker may hand to every scalar caller.
+#ifdef V6_UTIL_RNG_H
+#error "util/rng.h must stay out of the -mavx2 translation unit"
+#endif
+
 #if defined(__x86_64__) || defined(_M_X64)
 #define V6_KERNELS_HAVE_AVX2 1
 #include <immintrin.h>

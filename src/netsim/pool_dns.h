@@ -30,32 +30,41 @@ class PoolDns {
   // `vantage_share` is the probability a pool query lands on one of *our*
   // vantage servers at all: the pool has thousands of servers and ours
   // are a sliver of the rotation, so most polls are simply invisible to
-  // the study. resolve() returns nullptr for those.
+  // the study. captured() decides that.
   explicit PoolDns(const sim::World& world, double global_fraction = 0.10,
                    double vantage_share = 1.0);
 
-  // Resolves pool.ntp.org for this client: picks one of the vantage
-  // servers appropriate for the client's (IP-geolocated) country, with
-  // round-robin rotation driven by `rng`. Returns nullptr when the pool
-  // has no vantage at all (empty world). Thread-safe: the steering table
-  // is materialized at construction and read-only afterwards (collection
-  // shards resolve concurrently), and all randomness comes from the
-  // caller's `rng`.
-  const sim::VantagePoint* resolve(const net::Ipv6Address& client,
-                                   util::Rng& rng) const;
+  // A pool query is resolved in two steps, drawing from the caller's
+  // `rng` in a fixed order: captured() first, then — only if it returned
+  // true — resolve(). The split lets a caller skip deriving the client's
+  // address for the queries no vantage hears.
+  //
+  // Step one: does this query land on one of our vantages? Draws the
+  // vantage-share roll (no draw at a share of 0 or 1) and does not depend
+  // on the client. False when the pool has no vantage at all (empty
+  // world).
+  bool captured(util::Rng& rng) const noexcept {
+    return !all_.empty() && rng.chance(vantage_share_);
+  }
 
-  // Health-aware resolution at time t. A vantage whose crash the pool
-  // monitor has had `monitoring_delay` to notice (see
-  // FaultSchedule::marked_down) is removed from steering, so its share of
-  // polls redistributes across the surviving candidates; it re-enters
-  // rotation `monitoring_delay` after recovery. When the candidate list is
-  // entirely down the pick falls back to any healthy vantage worldwide,
-  // and only if *every* vantage is marked down does it answer from the
-  // unfiltered list (the real pool never returns an empty answer while it
-  // has servers). `steered_away`, when non-null, is set to true iff health
-  // filtering removed at least one candidate from the consulted list.
-  // With no health monitor attached (or none of the candidates down) this
-  // behaves bit-identically to the time-free overload.
+  // Step two, for a captured query at time t: picks one of the vantage
+  // servers appropriate for the client's (IP-geolocated) country, with
+  // round-robin rotation driven by `rng`. Returns nullptr only when the
+  // pool has no vantage. Thread-safe: the steering table is materialized
+  // at construction and read-only afterwards (collection shards resolve
+  // concurrently), and all randomness comes from the caller's `rng`.
+  //
+  // Health-aware: a vantage whose crash the pool monitor has had
+  // `monitoring_delay` to notice (see FaultSchedule::marked_down) is
+  // removed from steering, so its share of polls redistributes across the
+  // surviving candidates; it re-enters rotation `monitoring_delay` after
+  // recovery. When the candidate list is entirely down the pick falls back
+  // to any healthy vantage worldwide, and only if *every* vantage is
+  // marked down does it answer from the unfiltered list (the real pool
+  // never returns an empty answer while it has servers). `steered_away`,
+  // when non-null, is set to true iff health filtering removed at least
+  // one candidate from the consulted list. With no health monitor
+  // attached (or none of the candidates down) `t` changes nothing.
   const sim::VantagePoint* resolve(const net::Ipv6Address& client,
                                    util::Rng& rng, util::SimTime t,
                                    bool* steered_away = nullptr) const;

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "geo/bssid_db.h"
 #include "geo/country.h"
 #include "geo/geodb.h"
 #include "geo/location.h"
+#include "util/rng.h"
 
 namespace v6::geo {
 namespace {
@@ -89,6 +93,62 @@ TEST(GeoDatabase, OverwriteReplaces) {
   EXPECT_EQ(db.lookup(*net::Ipv6Address::parse("2001:db8::1"))->to_string(),
             "JP");
   EXPECT_EQ(db.size(), 1u);
+}
+
+TEST(GeoDatabase, LookupMatchesBruteForceLongestPrefix) {
+  // Random nested entries at mixed lengths (always including /0, /32, /48
+  // and /64 in the pool), with overwrites, checked against a scan of
+  // every entry for the longest one containing the address.
+  const CountryCode codes[] = {*CountryCode::parse("US"),
+                               *CountryCode::parse("DE"),
+                               *CountryCode::parse("JP"),
+                               *CountryCode::parse("BR")};
+  const int lengths[] = {0, 32, 48, 64, 16, 40, 56, 63, 1};
+  util::Rng rng(404);
+  for (int trial = 0; trial < 40; ++trial) {
+    GeoDatabase db;
+    // (hi64 of prefix, length) -> country, the last add winning.
+    std::map<std::pair<std::uint64_t, int>, CountryCode> reference;
+    std::uint64_t bases[4];
+    for (auto& base : bases) base = rng.next();
+    const int entries = 1 + static_cast<int>(rng.bounded(60));
+    for (int i = 0; i < entries; ++i) {
+      // Every third trial leaves /0 out, so misses stay reachable.
+      int length = rng.chance(0.5)
+                       ? lengths[rng.bounded(std::size(lengths))]
+                       : static_cast<int>(rng.bounded(65));
+      if (trial % 3 == 0 && length == 0) length = 32;
+      const std::uint64_t hi = bases[rng.bounded(std::size(bases))];
+      const net::Ipv6Prefix prefix(net::Ipv6Address::from_u64(hi, 0), length);
+      const CountryCode code = codes[rng.bounded(std::size(codes))];
+      db.add(prefix, code);
+      reference[{prefix.address().hi64(), length}] = code;
+    }
+    ASSERT_EQ(db.size(), reference.size());
+    for (int q = 0; q < 400; ++q) {
+      // Near a base (a random low bit range flipped) or anywhere.
+      std::uint64_t hi = rng.next();
+      if (rng.chance(0.8)) {
+        const int keep = static_cast<int>(rng.bounded(65));
+        const std::uint64_t noise =
+            keep == 64 ? 0 : (rng.next() >> keep);
+        hi = bases[rng.bounded(std::size(bases))] ^ noise;
+      }
+      const net::Ipv6Address address = net::Ipv6Address::from_u64(hi, rng.next());
+      std::optional<CountryCode> expected;
+      int best = -1;
+      for (const auto& [key, code] : reference) {
+        const net::Ipv6Prefix prefix(net::Ipv6Address::from_u64(key.first, 0),
+                                     key.second);
+        if (key.second > best && prefix.contains(address)) {
+          best = key.second;
+          expected = code;
+        }
+      }
+      ASSERT_EQ(db.lookup(address), expected)
+          << "trial " << trial << " address " << address.to_string();
+    }
+  }
 }
 
 TEST(GeoDatabase, RejectsOverlongPrefixes) {

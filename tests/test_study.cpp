@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+
 #include "analysis/entropy_distribution.h"
 
 namespace v6::core {
@@ -183,6 +187,51 @@ TEST(StudyDeterminism, DifferentSeedsDiffer) {
   a.collect();
   b.collect();
   EXPECT_NE(a.results().ntp.size(), b.results().ntp.size());
+}
+
+// FNV-1a over a byte string: the digest the collection pin below records.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Collection at the study's realistic 3% pool capture share, pinned to
+// constants recorded before any collector speedup: every optimisation of
+// the per-poll path must draw from each device's RNG stream in the same
+// order, so the saved corpus bytes and the poll counters never move. Both
+// the in-memory table and a 16 KiB spill budget (several sorted runs and
+// a k-way merge) must reproduce the same bytes.
+TEST(StudyCollectionPin, CorpusBytesAndPollCountsArePinned) {
+  constexpr std::uint64_t kCorpusDigest = 0x6c3605be90fde533ull;
+  constexpr std::uint64_t kPollsAttempted = 121879;
+  constexpr std::uint64_t kPollsAnswered = 3663;
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{16} << 10}) {
+    StudyConfig config;
+    config.world.seed = 2022;
+    config.world.total_sites = 300;
+    config.world.study_duration = 7 * util::kDay;
+    config.collector.threads = 2;
+    config.spill.memory_budget_bytes = budget;
+    Study study(config);
+    RunOptions collect_only;
+    collect_only.campaigns = false;
+    collect_only.backscan = false;
+    collect_only.analysis = false;
+    const StudyResults& r = study.run(std::move(collect_only));
+    if (budget > 0) {
+      ASSERT_NE(r.ntp_runs, nullptr);
+      EXPECT_GE(r.ntp_runs->run_count(), 2u) << "the merge must really run";
+    }
+    std::ostringstream saved;
+    study.save_ntp(saved);
+    EXPECT_EQ(fnv1a(saved.str()), kCorpusDigest) << "budget " << budget;
+    EXPECT_EQ(r.polls_attempted, kPollsAttempted) << "budget " << budget;
+    EXPECT_EQ(r.polls_answered, kPollsAnswered) << "budget " << budget;
+  }
 }
 
 }  // namespace
