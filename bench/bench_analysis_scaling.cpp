@@ -27,7 +27,9 @@ int main() {
                       config);
 
   core::Study study(config);
-  bench::timed("passive NTP collection", [&] { study.collect(); });
+  bench::timed("passive NTP collection", [&] {
+    study.run({.campaigns = false, .backscan = false, .analysis = false});
+  });
   const auto& corpus = study.results().ntp;
   const auto& world = study.world();
   const unsigned hw = util::ThreadPool::hardware_threads();

@@ -11,8 +11,12 @@ int main() {
   bench::print_banner("Figure 1: IID entropy CDFs", config);
 
   core::Study study(config);
-  bench::timed("passive NTP collection", [&] { study.collect(); });
-  bench::timed("active campaigns", [&] { study.run_campaigns(); });
+  bench::timed("passive NTP collection", [&] {
+    study.run({.campaigns = false, .backscan = false, .analysis = false});
+  });
+  bench::timed("active campaigns", [&] {
+    study.run({.collect = false, .backscan = false, .analysis = false});
+  });
   const auto& r = study.results();
 
   const auto ntp = analysis::entropy_distribution(r.ntp);

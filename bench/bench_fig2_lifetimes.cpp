@@ -11,7 +11,9 @@ int main() {
   bench::print_banner("Figure 2: address and IID lifetimes", config);
 
   core::Study study(config);
-  bench::timed("passive NTP collection", [&] { study.collect(); });
+  bench::timed("passive NTP collection", [&] {
+    study.run({.campaigns = false, .backscan = false, .analysis = false});
+  });
   const auto& r = study.results();
 
   const std::vector<util::SimDuration> points = {

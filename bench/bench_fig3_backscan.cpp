@@ -11,9 +11,12 @@ int main() {
   bench::print_banner("Figure 3 / §4.2: backscanning NTP clients", config);
 
   core::Study study(config);
-  bench::timed("active campaigns (alias baseline)",
-               [&] { study.run_campaigns(); });
-  bench::timed("backscan week", [&] { study.run_backscan(); });
+  bench::timed("active campaigns (alias baseline)", [&] {
+    study.run({.collect = false, .backscan = false, .analysis = false});
+  });
+  bench::timed("backscan week", [&] {
+    study.run({.collect = false, .campaigns = false, .analysis = false});
+  });
   const auto& r = study.results();
   const auto& scan = r.backscan;
 

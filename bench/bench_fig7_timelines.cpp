@@ -11,7 +11,9 @@ int main() {
   bench::print_banner("Figure 7: exemplar EUI-64 timelines", config);
 
   core::Study study(config);
-  bench::timed("passive NTP collection", [&] { study.collect(); });
+  bench::timed("passive NTP collection", [&] {
+    study.run({.campaigns = false, .backscan = false, .analysis = false});
+  });
   const auto& r = study.results();
 
   analysis::Eui64Tracker tracker(r.ntp, study.world());

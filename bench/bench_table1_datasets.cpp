@@ -56,11 +56,12 @@ int main() {
     ablation_addresses = sharded_corpus.size();
   }
 
-  const double collect_s =
-      bench::timed_seconds("passive NTP collection",
-                           [&] { study.collect(); });
-  const double campaigns_s = bench::timed_seconds(
-      "active campaigns", [&] { study.run_campaigns(); });
+  const double collect_s = bench::timed_seconds("passive NTP collection", [&] {
+    study.run({.campaigns = false, .backscan = false, .analysis = false});
+  });
+  const double campaigns_s = bench::timed_seconds("active campaigns", [&] {
+    study.run({.collect = false, .backscan = false, .analysis = false});
+  });
   const auto& r = study.results();
 
   const auto ntp =

@@ -12,7 +12,9 @@ int main() {
   bench::print_banner("Table 2 / §5.1: EUI-64 manufacturers", config);
 
   core::Study study(config);
-  bench::timed("passive NTP collection", [&] { study.collect(); });
+  bench::timed("passive NTP collection", [&] {
+    study.run({.campaigns = false, .backscan = false, .analysis = false});
+  });
   const auto& r = study.results();
 
   analysis::Eui64Tracker tracker(r.ntp, study.world());

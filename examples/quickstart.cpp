@@ -21,8 +21,8 @@ int main() {
   config.backscan_start = 130 * util::kDay;
 
   std::printf("generating world + running all stages...\n");
-  core::Study study = core::Study::run(config);
-  const auto& r = study.results();
+  core::Study study(config);
+  const auto& r = study.run();
 
   std::printf("\n== corpus sizes ==\n");
   std::printf("NTP corpus     : %s unique addresses (%s observations)\n",

@@ -366,8 +366,8 @@ int cmd_study(int argc, char** argv) {
     std::printf("analysis      : %zu stages, %s kernel steps on %u thread%s\n",
                 r.analysis.stage_stats.size(),
                 util::with_commas(analysis_steps).c_str(),
-                config.analysis.resolved_threads(),
-                config.analysis.resolved_threads() == 1 ? "" : "s");
+                config.analysis.threads.resolved(),
+                config.analysis.threads.resolved() == 1 ? "" : "s");
   }
 
   // Out-of-core runs leave r.ntp empty. The analyses above streamed the
@@ -872,9 +872,9 @@ int cmd_obs_report(int argc, char** argv) {
     ntp = &collapsed;
   }
   std::vector<net::Ipv6Address> targets;
-  ntp->for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : ntp->records()) {
     if (targets.size() < query_count) targets.push_back(rec.address);
-  });
+  }
   for (const net::Ipv6Address& a : targets) {
     (void)service.point(a);
     (void)service.slash48_density(a);

@@ -26,10 +26,10 @@ BadAppleReport bad_apple_linkage(const hitlist::Corpus& corpus,
   std::vector<std::uint64_t> cotenant_addrs(tracks.size(), 0);
   std::vector<std::unordered_set<std::uint64_t>> cotenant_prefixes(
       tracks.size());
-  corpus.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : corpus.records()) {
     const auto it = by_slash64.find(rec.address.hi64());
-    if (it == by_slash64.end()) return;
-    if (net::looks_like_eui64(rec.address)) return;  // the apple itself
+    if (it == by_slash64.end()) continue;
+    if (net::looks_like_eui64(rec.address)) continue;  // the apple itself
     ++report.linked_addresses;
     if (net::entropy_band(net::iid_entropy(rec.address)) ==
         net::EntropyBand::kHigh) {
@@ -39,7 +39,7 @@ BadAppleReport bad_apple_linkage(const hitlist::Corpus& corpus,
       ++cotenant_addrs[apple];
       cotenant_prefixes[apple].insert(rec.address.hi64());
     }
-  });
+  }
 
   for (std::uint32_t i = 0; i < tracks.size(); ++i) {
     if (cotenant_addrs[i] > 0) ++report.apples_with_cotenants;

@@ -112,7 +112,7 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
       [&source, &config] {
         IidSpans m;
         m.reserve(static_cast<std::size_t>(source.records) /
-                      config.resolved_threads() +
+                      config.threads.resolved() +
                   1);
         return m;
       },
@@ -142,7 +142,7 @@ IidLifetimeReport iid_lifetimes(const ScanSource& source,
   const std::uint64_t t_bands = monotonic_micros();
   std::vector<std::pair<std::uint64_t, Span>> entries(iids.begin(),
                                                       iids.end());
-  const unsigned shards = config.resolved_threads();
+  const unsigned shards = config.threads.resolved();
   const std::size_t n_points = cdf_points.size();
   std::vector<BandTallies> shard_tallies(shards);
   for (auto& t : shard_tallies) {

@@ -13,7 +13,7 @@
 //     shard-index order — NEVER completion order — so floating-point
 //     accumulation sees one fixed association for a given thread count,
 //     and concatenation-style states (sample vectors) reproduce the
-//     serial for_each() sequence exactly.
+//     serial records() sequence exactly.
 //
 // Determinism contract: a kernel whose merge() makes shard-order
 // concatenation equal to the serial visit sequence (or whose aggregates
@@ -60,10 +60,6 @@ struct AnalysisConfig {
   // windows are zero-width at the pipeline's end.
   obs::TimelineSampler* sampler = nullptr;
   util::SimTime sample_time = 0;
-
-  // The effective shard count. Kept as a shim for existing callers; new
-  // code should use threads.resolved().
-  unsigned resolved_threads() const noexcept { return threads.resolved(); }
 };
 
 // Per-stage scan instrumentation. Naming convention (repo-wide for stats
@@ -130,23 +126,6 @@ class ParallelScan {
     };
     k.destroy = [](void* s) { delete static_cast<State*>(s); };
     kernels_.push_back(std::move(k));
-  }
-
-  // Per-record kernel registration: step(state, record) runs for every
-  // record, wrapped in a loop over each block. Not deprecated — genuinely
-  // scalar folds (rare branches, tiny states) read better this way — but
-  // hot kernels should register the block form and batch.
-  template <typename State, typename MakeFn, typename StepFn,
-            typename MergeFn, typename FinishFn>
-  void add_kernel(std::string stage, MakeFn make, StepFn step, MergeFn merge,
-                  FinishFn finish) {
-    add_block_kernel<State>(
-        std::move(stage), std::move(make),
-        [step = std::move(step)](State& s,
-                                 std::span<const hitlist::AddressRecord> b) {
-          for (const auto& rec : b) step(s, rec);
-        },
-        std::move(merge), std::move(finish));
   }
 
   // One pass over `source`: every registered kernel sees every record.

@@ -10,8 +10,7 @@
 // contiguous std::span<const AddressRecord> slices whose concatenation is
 // the ascending record stream, so analyses hand whole blocks to the batch
 // kernels (kernels/batch.h) instead of paying a type-erased callback per
-// record. The per-record visit() remains as a thin adapter over it for
-// out-of-tree callers.
+// record.
 //
 // The bit-identity contract carries over: concatenating visit_blocks()
 // over an ascending partition of [0, span) yields the records in
@@ -23,6 +22,7 @@
 // must be boundary-oblivious (asserted by tests over ragged block sizes).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -38,7 +38,6 @@ class TieredCorpus;
 namespace v6::analysis {
 
 struct ScanSource {
-  using RecordFn = std::function<void(const hitlist::AddressRecord&)>;
   using BlockFn = std::function<void(std::span<const hitlist::AddressRecord>)>;
 
   // Sharding domain: ParallelScan partitions [0, span) into contiguous
@@ -51,26 +50,11 @@ struct ScanSource {
   // disjoint ranges. Spans are only valid for the duration of the
   // callback.
   std::function<void(std::size_t, std::size_t, const BlockFn&)> visit_blocks;
-  // deprecated: block API — per-record adapter kept so existing callers
-  // compile; new code consumes visit_blocks. Populated by finalize().
-  std::function<void(std::size_t, std::size_t, const RecordFn&)> visit;
   // Optional membership probe. Null when point lookups are prohibitive
   // (the tiered engine pays a block decode per probe) — callers needing
   // membership against such a source invert the scan instead (see
   // summarize_dataset).
   std::function<bool(const net::Ipv6Address&)> contains;
-
-  // Derives the per-record adapter from visit_blocks. Factories call this
-  // once visit_blocks is set; hand-rolled sources that only define
-  // visit_blocks can too.
-  void finalize() {
-    visit = [vb = visit_blocks](std::size_t begin, std::size_t end,
-                                const RecordFn& fn) {
-      vb(begin, end, [&fn](std::span<const hitlist::AddressRecord> block) {
-        for (const auto& rec : block) fn(rec);
-      });
-    };
-  }
 };
 
 // In-memory source. The corpus must outlive the source and stay
@@ -78,16 +62,16 @@ struct ScanSource {
 // sub-range arrives as exactly one block.
 inline ScanSource make_source(const hitlist::Corpus& corpus) {
   ScanSource src;
-  src.span = corpus.slot_span();
+  src.span = corpus.size();
   src.records = corpus.size();
   src.visit_blocks = [&corpus](std::size_t begin, std::size_t end,
                                const ScanSource::BlockFn& fn) {
-    corpus.for_each_block_in_slot_range(begin, end, fn);
+    end = std::min(end, corpus.size());
+    if (begin < end) fn(corpus.records().subspan(begin, end - begin));
   };
   src.contains = [&corpus](const net::Ipv6Address& address) {
     return corpus.find(address) != nullptr;
   };
-  src.finalize();
   return src;
 }
 

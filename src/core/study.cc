@@ -93,8 +93,6 @@ void set_vantage_gauges(obs::Registry& registry,
 }  // namespace
 
 void Study::do_collect(const hitlist::CheckpointSink& sink) {
-  if (collected_) return;
-  collected_ = true;
   hitlist::PassiveCollector collector(*world_, *plane_, *dns_,
                                       collector_config());
   const util::SimTime start = config_.world.study_start;
@@ -116,8 +114,6 @@ void Study::do_collect(const hitlist::CheckpointSink& sink) {
 
 void Study::do_resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
                               const hitlist::CheckpointSink& sink) {
-  if (collected_) return;
-  collected_ = true;
   hitlist::PassiveCollector collector(*world_, *plane_, *dns_,
                                       collector_config());
   if (config_.spill.active()) {
@@ -139,8 +135,6 @@ void Study::do_resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
 }
 
 void Study::do_collect_distributed(const dist::DistConfig& dist_config) {
-  if (collected_) return;
-  collected_ = true;
   dist::SimCluster cluster(*world_, *plane_, *dns_, config_.collector,
                            dist_config, nullptr,
                            config_.metrics ? metrics_.get() : nullptr,
@@ -155,8 +149,6 @@ void Study::do_collect_distributed(const dist::DistConfig& dist_config) {
 }
 
 void Study::do_campaigns() {
-  if (campaigned_) return;
-  campaigned_ = true;
   hitlist::HitlistCampaignConfig hitlist_config = config_.hitlist_campaign;
   hitlist::CaidaCampaignConfig caida_config = config_.caida_campaign;
   if (config_.metrics) {
@@ -170,9 +162,6 @@ void Study::do_campaigns() {
 }
 
 void Study::do_backscan() {
-  if (backscanned_) return;
-  backscanned_ = true;
-
   scan::BackscanConfig backscan_config = config_.backscan;
   if (config_.metrics) backscan_config.metrics = metrics_.get();
   scan::Backscanner backscanner(*plane_, backscan_config);
@@ -192,7 +181,7 @@ void Study::do_backscan() {
   // and trace samples from one shared RNG and fires probes through the
   // shared DataPlane as sightings arrive — so this collection pass runs
   // single-threaded per the hook concurrency contract (see
-  // hitlist::ObservationHook). The main collect() pass has no hook and
+  // hitlist::ObservationHook). Stage 1's main pass has no hook and
   // shards freely.
   auto serial_config = collector_config();
   serial_config.threads = util::Parallelism::serial();
@@ -238,22 +227,20 @@ void Study::do_backscan() {
       ++check.aliased_new;
     }
   }
-  results_.backscan_week.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : results_.backscan_week.records()) {
     if (ours.contains(net::slash64_of(rec.address))) {
       ++check.ntp_clients_in_aliased;
     }
-  });
-  results_.hitlist.corpus.for_each([&](const hitlist::AddressRecord& rec) {
+  }
+  for (const auto& rec : results_.hitlist.corpus.records()) {
     if (ours.contains(net::slash64_of(rec.address))) {
       ++check.hitlist_addresses_in_aliased;
     }
-  });
+  }
   results_.alias_check = check;
 }
 
 void Study::do_analysis() {
-  if (analyzed_) return;
-  analyzed_ = true;
   analysis::AnalysisConfig cfg = config_.analysis;
   if (config_.metrics) {
     cfg.metrics = metrics_.get();
@@ -330,12 +317,16 @@ std::vector<std::pair<geo::CountryCode, std::uint64_t>> Study::country_mix()
   if (results_.ntp_runs != nullptr) {
     results_.ntp_runs->for_each_merged(tally);
   } else {
-    results_.ntp.for_each(tally);
+    for (const auto& rec : results_.ntp.records()) tally(rec);
   }
   std::vector<std::pair<geo::CountryCode, std::uint64_t>> out(counts.begin(),
                                                               counts.end());
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
+  // Ties break on the country code, so the order never depends on the
+  // tally map's bucket layout.
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
   return out;
 }
 
@@ -429,6 +420,7 @@ const StudyResults& Study::run(RunOptions options) {
   // span.
   const auto root = tracer.begin_span("study.run", study_start);
   if (options.collect && !collected_) {
+    collected_ = true;
     const auto wall = Clock::now();
     const auto span = tracer.begin_span("study.collect", study_start);
     if (options.distributed) {
@@ -454,6 +446,7 @@ const StudyResults& Study::run(RunOptions options) {
     if (sampler_ != nullptr) sampler_->sample(study_end, "collect");
   }
   if (options.campaigns && !campaigned_) {
+    campaigned_ = true;
     const auto wall = Clock::now();
     const auto span = tracer.begin_span("study.campaigns", study_end);
     do_campaigns();
@@ -462,6 +455,7 @@ const StudyResults& Study::run(RunOptions options) {
     if (sampler_ != nullptr) sampler_->sample(study_end, "campaigns");
   }
   if (options.backscan && !backscanned_) {
+    backscanned_ = true;
     const auto wall = Clock::now();
     const auto span =
         tracer.begin_span("study.backscan", config_.backscan_start);
@@ -471,6 +465,7 @@ const StudyResults& Study::run(RunOptions options) {
     if (sampler_ != nullptr) sampler_->sample(backscan_end, "backscan");
   }
   if (options.analysis && !analyzed_) {
+    analyzed_ = true;
     const auto wall = Clock::now();
     const auto span = tracer.begin_span("study.analysis", pipeline_end);
     do_analysis();
@@ -486,25 +481,6 @@ const StudyResults& Study::run(RunOptions options) {
   }
   results_.metrics = metrics_->snapshot();
   return results_;
-}
-
-void Study::collect(const hitlist::CheckpointSink& sink) { do_collect(sink); }
-
-void Study::resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
-                           const hitlist::CheckpointSink& sink) {
-  do_resume_collect(std::move(checkpoint), sink);
-}
-
-void Study::run_campaigns() { do_campaigns(); }
-
-void Study::run_backscan() { do_backscan(); }
-
-void Study::run_analysis() { do_analysis(); }
-
-Study Study::run(const StudyConfig& config) {
-  Study study(config);
-  study.run(RunOptions{});
-  return study;
 }
 
 }  // namespace v6::core

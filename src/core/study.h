@@ -4,11 +4,15 @@
 //   Study study(cfg);
 //   const StudyResults& r = study.run();   // all four stages
 //
-// run() takes a RunOptions to toggle stages, resume stage 1 from a
-// checkpoint, or receive checkpoint snapshots — one entry point, one
-// result. Stages are idempotent: a second run() re-runs nothing. The
-// legacy per-stage methods (collect / resume_collect / run_campaigns /
-// run_backscan / run_analysis) survive as thin shims.
+// run() is the only way to drive the pipeline. Its RunOptions select the
+// stages, resume stage 1 from a checkpoint, or receive checkpoint
+// snapshots, e.g. collection alone:
+//
+//   study.run({.campaigns = false, .backscan = false, .analysis = false});
+//
+// Stages are idempotent: a stage runs at most once per Study, so a later
+// run() re-runs nothing and stage-by-stage calls build the same results
+// as one full run().
 //
 // Observability: every Study owns an obs::Registry. All layers (data
 // plane, pool DNS, collector, scanners, analysis engine) report into it,
@@ -144,17 +148,16 @@ struct StudyResults {
   std::uint64_t polls_attempted = 0;
   std::uint64_t polls_answered = 0;
   // Per-vantage degradation under the fault plan (indexed by vantage id;
-  // empty until collect()). The study reports how much each vantage lost
-  // instead of aborting on churn.
+  // empty until stage 1 ran). The study reports how much each vantage
+  // lost instead of aborting on churn.
   std::vector<hitlist::VantageHealthStats> vantage_health;
-  // Stage 4 (empty until run_analysis()).
+  // Stage 4 (empty until the analysis stage ran).
   AnalysisReport analysis;
   // Distributed-collection report (set only when RunOptions::distributed
   // drove stage 1): lease/recovery counters and the V6DIST01 frame log.
   std::optional<dist::DistReport> dist;
   // Folded view of the study's metrics registry plus its trace spans,
-  // captured when run() finishes (empty when driven via the legacy
-  // per-stage shims without a final run()).
+  // captured when each run() finishes.
   obs::Snapshot metrics;
   // Sim-time series of WindowRecords (empty unless RunOptions::
   // sample_interval > 0): one window per sampling boundary inside the
@@ -172,7 +175,8 @@ struct StudyResults {
 inline constexpr std::string_view kStageWallFamily = "v6_stage_wall_us";
 
 // Stage selection and stage-1 plumbing for Study::run(). The defaults run
-// the whole pipeline.
+// the whole pipeline. Every member has a default initializer, so
+// designated initializers may name any subset.
 struct RunOptions {
   bool collect = true;
   bool campaigns = true;
@@ -180,10 +184,10 @@ struct RunOptions {
   bool analysis = true;
   // Stage-1 checkpointing: combined with collector.checkpoint_interval,
   // receives periodic crash-recovery snapshots.
-  hitlist::CheckpointSink checkpoint_sink;
+  hitlist::CheckpointSink checkpoint_sink{};
   // Resume stage 1 from a checkpoint written by a previous (crashed) run
   // with the same configuration; bit-identical to an uninterrupted run.
-  std::optional<hitlist::CollectionCheckpoint> resume_from;
+  std::optional<hitlist::CollectionCheckpoint> resume_from{};
   // Sim-time spacing of timeline sampling windows; 0 disables sampling.
   // Samples are taken only at deterministic merge barriers (collector
   // grid boundaries, stage transitions, campaign snapshots, analysis
@@ -198,7 +202,7 @@ struct RunOptions {
   // worker count, including under injected worker kills/stalls.
   // Incompatible with spill, resume_from, checkpoint_sink, and
   // collector.wire_fidelity (run() throws std::invalid_argument).
-  std::optional<dist::DistConfig> distributed;
+  std::optional<dist::DistConfig> distributed{};
   // Hitlist-as-a-service: with serve.enabled, stage 1 publishes epoch
   // snapshots into Study::query_service() — interior epochs every
   // serve.epoch_interval sim-seconds at collection merge barriers
@@ -209,7 +213,7 @@ struct RunOptions {
   // reader/ingest thread count. Call query_service() once before
   // spawning run() on a background thread (lazy construction is not
   // thread-safe).
-  serve::ServeConfig serve;
+  serve::ServeConfig serve{};
 };
 
 class Study {
@@ -230,9 +234,10 @@ class Study {
 
   // Runs the selected stages in pipeline order (collect -> campaigns ->
   // backscan -> analysis), wraps each in a sim-time trace span, and
-  // snapshots the metrics registry into the returned results. Stages
-  // already run (by a previous run() or a legacy shim) are skipped, so
-  // repeated calls are cheap and safe.
+  // snapshots the metrics registry into the returned results. Stages a
+  // previous run() already ran are skipped, so repeated calls are cheap
+  // and safe. The analysis stage needs the NTP corpus; it fills Table 1's
+  // campaign columns only if the campaigns ran before it.
   const StudyResults& run(RunOptions options = {});
 
   // The study's metrics registry. Always present; layers report into it
@@ -246,29 +251,11 @@ class Study {
   // is safe to query from any number of reader threads.
   serve::QueryService& query_service();
 
-  // --- Legacy per-stage API (thin shims over run()) ---------------------
-  // Deprecated: prefer run(RunOptions). Kept so existing callers compile.
-
-  // Stage 1: passive NTP collection over the study window.
-  void collect(const hitlist::CheckpointSink& sink = {});
-  // Stage 1, resumed from a checkpoint of a previous (crashed) run.
-  void resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
-                      const hitlist::CheckpointSink& sink = {});
-  // Stage 2: the two active comparison campaigns.
-  void run_campaigns();
-  // Stage 3: backscan week (collects clients in its own window, probes
-  // them back, cross-checks aliases against the Hitlist campaign).
-  void run_backscan();
-  // Stage 4: the corpus analyses behind Table 1 and Figs 1, 2, 4, 5,
-  // sharded per config.analysis.threads. Requires collect(); the Table 1
-  // campaign columns are filled only if run_campaigns() ran first.
-  void run_analysis();
-
   const StudyResults& results() const noexcept { return results_; }
   StudyResults& mutable_results() noexcept { return results_; }
 
-  // Unique-address count per (true) country of the NTP corpus, descending
-  // (§3's country mix).
+  // Unique-address count per (true) country of the NTP corpus, by count
+  // descending, then country code ascending (§3's country mix).
   std::vector<std::pair<geo::CountryCode, std::uint64_t>> country_mix() const;
 
   // Writes the NTP corpus as a V6CORP snapshot (hitlist/corpus_io.h) and
@@ -282,9 +269,6 @@ class Study {
     return results_.ntp_runs != nullptr ? results_.ntp_runs->merged_size()
                                         : results_.ntp.size();
   }
-
-  // Convenience: construct and run all stages.
-  static Study run(const StudyConfig& config);
 
  private:
   void do_collect(const hitlist::CheckpointSink& sink);

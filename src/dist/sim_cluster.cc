@@ -15,7 +15,7 @@ namespace {
 
 hitlist::Corpus clone(const hitlist::Corpus& src) {
   hitlist::Corpus out(std::max<std::size_t>(src.size(), 1));
-  src.for_each([&out](const hitlist::AddressRecord& r) { out.add_record(r); });
+  out.merge(src);
   return out;
 }
 

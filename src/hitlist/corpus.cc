@@ -183,10 +183,7 @@ void Corpus::add_block(std::span<const AddressRecord> block) {
   }
 }
 
-void Corpus::merge(const Corpus& other) {
-  other.for_each_block(
-      [this](std::span<const AddressRecord> block) { add_block(block); });
-}
+void Corpus::merge(const Corpus& other) { add_block(other.records()); }
 
 const AddressRecord* Corpus::find(
     const net::Ipv6Address& address) const noexcept {

@@ -15,7 +15,6 @@
 // records in the identical order — the bit-identity contract.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -82,7 +81,7 @@ class Corpus {
 
   // Re-sorts the record array into ascending address order (and rebuilds
   // the index). Records land in records() in first-insertion order, so
-  // the raw layout — and with it for_each() order and save_corpus()
+  // the raw layout — and with it iteration order and save_corpus()
   // bytes — depends on the order sightings arrived. Canonicalizing makes
   // the layout a pure function of the stored content; collection calls
   // this at its final merge barrier so chunk grids (checkpoints, timeline
@@ -95,7 +94,10 @@ class Corpus {
   std::uint64_t total_observations() const noexcept { return observations_; }
 
   // The dense record array, in insertion order (ascending address order
-  // after canonicalize()). Pointers/spans are invalidated by any mutation.
+  // after canonicalize()): the one way to iterate a corpus. A sub-span is
+  // itself a contiguous block, which is how analysis::make_source shards
+  // it and how whole blocks reach the batch kernels. Pointers/spans are
+  // invalidated by any mutation.
   std::span<const AddressRecord> records() const noexcept {
     return records_;
   }
@@ -105,49 +107,6 @@ class Corpus {
   std::size_t memory_bytes() const noexcept {
     return records_.capacity() * sizeof(AddressRecord) +
            index_.capacity() * sizeof(std::uint32_t);
-  }
-
-  // Hands the whole record array to `fn` as one contiguous block, in
-  // insertion order (ascending address order after canonicalize()). The
-  // block form of for_each(): callers feed the span straight into the
-  // batch kernels.
-  template <typename Fn>
-  void for_each_block(Fn&& fn) const {
-    fn(std::span<const AddressRecord>(records_));
-  }
-
-  // deprecated: block API — iterate via for_each_block() and the batch
-  // kernels instead; kept so out-of-tree per-record callers compile.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& rec : records_) fn(rec);
-  }
-
-  // Sharded iteration domain for analysis::ParallelScan: the number of
-  // stored records. Partitioning [0, slot_span()) into contiguous ranges
-  // and concatenating for_each_block_in_slot_range() over them in
-  // ascending order visits records in exactly for_each() order — the
-  // invariant the parallel analyses' determinism rests on.
-  std::size_t slot_span() const noexcept { return records_.size(); }
-
-  // Hands the records stored at positions [begin, end) to `fn` as one
-  // contiguous block (the array is dense, so a sub-range IS a block).
-  // `end` is clamped to slot_span().
-  template <typename Fn>
-  void for_each_block_in_slot_range(std::size_t begin, std::size_t end,
-                                    Fn&& fn) const {
-    end = std::min(end, records_.size());
-    if (begin >= end) return;
-    fn(std::span<const AddressRecord>(records_.data() + begin, end - begin));
-  }
-
-  // deprecated: block API — use for_each_block_in_slot_range(); kept so
-  // out-of-tree per-record callers compile.
-  template <typename Fn>
-  void for_each_in_slot_range(std::size_t begin, std::size_t end,
-                              Fn&& fn) const {
-    end = std::min(end, records_.size());
-    for (std::size_t i = begin; i < end; ++i) fn(records_[i]);
   }
 
   // Smallest power-of-two index capacity keeping `expected` records at or

@@ -73,13 +73,13 @@ void save_corpus(proto::BufferWriter& out, const Corpus& corpus) {
   out.u64(corpus.total_observations());
   out.u32(proto::crc32(std::span(out.data()).subspan(header_begin, 16)));
   const std::size_t records_begin = out.size();
-  corpus.for_each([&out](const AddressRecord& rec) {
+  for (const auto& rec : corpus.records()) {
     out.bytes(rec.address.bytes());
     out.u32(rec.first_seen);
     out.u32(rec.last_seen);
     out.u32(rec.count);
     out.u32(rec.vantage_mask);
-  });
+  }
   out.u32(proto::crc32(std::span(out.data()).subspan(records_begin)));
 }
 
@@ -148,8 +148,7 @@ std::size_t CorpusSnapshotWriter::finish() {
 std::size_t save_corpus(std::ostream& out, const Corpus& corpus) {
   CorpusSnapshotWriter writer(out, corpus.size(),
                               corpus.total_observations());
-  corpus.for_each(
-      [&writer](const AddressRecord& rec) { writer.append(rec); });
+  for (const auto& rec : corpus.records()) writer.append(rec);
   return writer.finish();
 }
 

@@ -359,8 +359,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     std::size_t upper = corpus.size();
     for (const ShardState& shard : states) upper += shard.corpus.size();
     Corpus scratch(std::max<std::size_t>(upper, 1));
-    corpus.for_each(
-        [&scratch](const AddressRecord& r) { scratch.add_record(r); });
+    scratch.merge(corpus);
     for (const ShardState& shard : states) scratch.merge(shard.corpus);
     if (tiered_ != nullptr) {
       // Already-spilled records count too; merged_size_with needs the
@@ -398,8 +397,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     Corpus snapshot = tiered_ != nullptr
                           ? tiered_->collapse()
                           : Corpus(std::max<std::size_t>(records, 1));
-    corpus.for_each(
-        [&snapshot](const AddressRecord& r) { snapshot.add_record(r); });
+    snapshot.merge(corpus);
     for (const ShardState& shard : states) snapshot.merge(shard.corpus);
     return snapshot;
   };

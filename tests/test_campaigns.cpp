@@ -55,11 +55,11 @@ TEST_F(CampaignTest, HitlistDiscoversAddresses) {
 
 TEST_F(CampaignTest, HitlistPublishesNoAliasedAddresses) {
   std::uint64_t inside_aliased = 0;
-  hitlist_->corpus.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : hitlist_->corpus.records()) {
     for (const auto& p : hitlist_->aliased_prefixes) {
       if (p.contains(rec.address)) ++inside_aliased;
     }
-  });
+  }
   EXPECT_EQ(inside_aliased, 0u);
 }
 
@@ -84,9 +84,9 @@ TEST_F(CampaignTest, HitlistSkewsTowardInfrastructure) {
   // The Hitlist should be much heavier in low-IID structure than a client
   // corpus: most addresses are routers/servers/CPE.
   std::uint64_t low_iid = 0;
-  hitlist_->corpus.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : hitlist_->corpus.records()) {
     if (rec.address.iid() <= 0xffff) ++low_iid;
-  });
+  }
   EXPECT_GT(low_iid, hitlist_->corpus.size() / 4);
 }
 
@@ -99,9 +99,9 @@ TEST_F(CampaignTest, CaidaDiscoversRouters) {
 TEST_F(CampaignTest, CaidaDensityIsOnePerSlash48) {
   // Table 1: the routed-/48 campaign averages ~1 address per /48.
   std::unordered_set<std::uint64_t> s48s;
-  caida_->corpus.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : caida_->corpus.records()) {
     s48s.insert(rec.address.hi64() >> 16);
-  });
+  }
   const double density = static_cast<double>(caida_->corpus.size()) /
                          static_cast<double>(s48s.size());
   EXPECT_LT(density, 3.0);
@@ -109,9 +109,9 @@ TEST_F(CampaignTest, CaidaDensityIsOnePerSlash48) {
 
 TEST_F(CampaignTest, CaidaIsMostlyLowEntropyInfrastructure) {
   std::uint64_t low_iid = 0;
-  caida_->corpus.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : caida_->corpus.records()) {
     if (rec.address.iid() <= 0xffff) ++low_iid;
-  });
+  }
   EXPECT_GT(low_iid, caida_->corpus.size() * 7 / 10);
 }
 

@@ -53,7 +53,7 @@ class DistIdentityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     study_ = new core::Study(small_config());
-    study_->collect();
+    study_->run({.campaigns = false, .backscan = false, .analysis = false});
     reference_ = new std::string(corpus_bytes(study_->results().ntp));
   }
   static void TearDownTestSuite() {

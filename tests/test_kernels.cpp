@@ -367,25 +367,19 @@ TEST_F(KernelAnalysisIdentity, CorpusBlockInsertMatchesPerRecord) {
   // add_block (batch hash) must build the same corpus as per-record add:
   // same size, same slot layout, same serialized bytes after canonicalize.
   hitlist::Corpus by_block;
-  corpus_->for_each_block([&by_block](
-                              std::span<const hitlist::AddressRecord> block) {
-    by_block.add_block(block);
-  });
+  by_block.add_block(corpus_->records());
   hitlist::Corpus by_record;
-  corpus_->for_each(  // deprecated: block API (kept as the reference here)
-      [&by_record](const hitlist::AddressRecord& rec) {
-        by_record.add_record(rec);
-      });
+  for (const auto& rec : corpus_->records()) by_record.add_record(rec);
   ASSERT_EQ(by_block.size(), corpus_->size());
   ASSERT_EQ(by_block.size(), by_record.size());
-  by_block.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : by_block.records()) {
     const auto* other = by_record.find(rec.address);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(rec.count, other->count);
     EXPECT_EQ(rec.first_seen, other->first_seen);
     EXPECT_EQ(rec.last_seen, other->last_seen);
     EXPECT_EQ(rec.vantage_mask, other->vantage_mask);
-  });
+  }
 }
 
 }  // namespace

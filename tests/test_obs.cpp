@@ -515,14 +515,14 @@ void expect_identical_corpora(const hitlist::Corpus& a,
                               const hitlist::Corpus& b) {
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.total_observations(), b.total_observations());
-  a.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : a.records()) {
     const auto* other = b.find(rec.address);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->first_seen, rec.first_seen);
     EXPECT_EQ(other->last_seen, rec.last_seen);
     EXPECT_EQ(other->count, rec.count);
     EXPECT_EQ(other->vantage_mask, rec.vantage_mask);
-  });
+  }
 }
 
 // One full instrumented study shared by the read-only assertions below.
@@ -656,37 +656,58 @@ TEST_F(StudyMetricsTest, MetricsOffIsBitIdenticalAndUnsampled) {
   EXPECT_FALSE(ro.metrics.spans.empty());
 }
 
-TEST(StudyRunApi, RunMatchesTheLegacyPerStageShims) {
+TEST(StudyRunApi, StageByStageRunsMatchOneRun) {
   const auto config = tiny_study(9);
-  core::Study via_run(config);
-  const auto& ra = via_run.run();
+  core::Study whole(config);
+  const auto& ra = whole.run();
 
-  core::Study via_shims(config);
-  via_shims.collect();
-  via_shims.run_campaigns();
-  via_shims.run_backscan();
-  via_shims.run_analysis();
-  // The shims never snapshot; a final run() re-runs nothing and fills it.
-  EXPECT_TRUE(via_shims.results().metrics.samples.empty());
-  const auto before = via_shims.results().ntp.size();
-  const auto& rb = via_shims.run();
-  EXPECT_EQ(rb.ntp.size(), before);
-  EXPECT_FALSE(rb.metrics.samples.empty());
+  // Four run() calls, one stage each, in pipeline order.
+  core::Study staged(config);
+  staged.run({.campaigns = false, .backscan = false, .analysis = false});
+  staged.run({.collect = false, .backscan = false, .analysis = false});
+  staged.run({.collect = false, .campaigns = false, .analysis = false});
+  const auto& rb =
+      staged.run({.collect = false, .campaigns = false, .backscan = false});
 
   expect_identical_corpora(ra.ntp, rb.ntp);
-  EXPECT_EQ(ra.hitlist.corpus.size(), rb.hitlist.corpus.size());
-  EXPECT_EQ(ra.caida.corpus.size(), rb.caida.corpus.size());
+  expect_identical_corpora(ra.hitlist.corpus, rb.hitlist.corpus);
+  expect_identical_corpora(ra.caida.corpus, rb.caida.corpus);
+  expect_identical_corpora(ra.backscan_week, rb.backscan_week);
+  EXPECT_EQ(ra.hitlist.probes_sent, rb.hitlist.probes_sent);
+  EXPECT_EQ(ra.caida.probes_sent, rb.caida.probes_sent);
   EXPECT_EQ(ra.backscan.clients_probed, rb.backscan.clients_probed);
   EXPECT_EQ(ra.backscan.clients_responded, rb.backscan.clients_responded);
+  ASSERT_EQ(ra.analysis.table1.size(), rb.analysis.table1.size());
   ASSERT_EQ(ra.analysis.stage_stats.size(), rb.analysis.stage_stats.size());
   for (std::size_t i = 0; i < ra.analysis.stage_stats.size(); ++i) {
     EXPECT_EQ(ra.analysis.stage_stats[i].records,
               rb.analysis.stage_stats[i].records);
   }
-  EXPECT_EQ(ra.metrics.counter_sum("v6_collector_polls_total"),
-            rb.metrics.counter_sum("v6_collector_polls_total"));
-  EXPECT_EQ(ra.metrics.counter_sum("v6_scan_probes_total"),
-            rb.metrics.counter_sum("v6_scan_probes_total"));
+  for (const char* counter :
+       {"v6_collector_polls_total", "v6_scan_probes_total"}) {
+    EXPECT_EQ(ra.metrics.counter_sum(counter), rb.metrics.counter_sum(counter))
+        << counter;
+  }
+
+  // A fifth run() re-runs nothing: no stage observes its wall time twice.
+  const auto polls = rb.metrics.counter_sum("v6_collector_polls_total");
+  const auto probes = rb.metrics.counter_sum("v6_scan_probes_total");
+  const auto stages = rb.analysis.stage_stats.size();
+  const auto& rc = staged.run();
+  EXPECT_EQ(rc.metrics.counter_sum("v6_collector_polls_total"), polls);
+  EXPECT_EQ(rc.metrics.counter_sum("v6_scan_probes_total"), probes);
+  EXPECT_EQ(rc.analysis.stage_stats.size(), stages);
+  for (const char* stage : {"collect", "campaigns", "backscan", "analysis"}) {
+    const Labels want{{"stage", stage}};
+    const MetricSample* found = nullptr;
+    for (const auto& sample : rc.metrics.samples) {
+      if (sample.name == core::kStageWallFamily && sample.labels == want) {
+        found = &sample;
+      }
+    }
+    ASSERT_NE(found, nullptr) << stage;
+    EXPECT_EQ(found->histogram.count, 1u) << stage;
+  }
 }
 
 TEST(StudyRunApi, StageTogglesRunOnlyTheSelectedStages) {

@@ -42,9 +42,9 @@ hitlist::Corpus synthetic_corpus(std::size_t n) {
 TEST(ParallelScanEngine, ShardConcatenationReproducesSerialOrder) {
   const auto corpus = synthetic_corpus(5000);
   std::vector<std::uint64_t> serial;
-  corpus.for_each([&serial](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : corpus.records()) {
     serial.push_back(rec.address.iid());
-  });
+  }
 
   for (unsigned threads : {2u, 4u, 7u}) {
     AnalysisConfig config;
@@ -70,15 +70,17 @@ TEST(ParallelScanEngine, OnePassServesMultipleKernels) {
   ParallelScan scan(config);
   std::uint64_t records = 0;
   std::uint64_t observations = 0;
-  scan.add_kernel<std::uint64_t>(
+  scan.add_block_kernel<std::uint64_t>(
       "records", [] { return std::uint64_t{0}; },
-      [](std::uint64_t& n, const hitlist::AddressRecord&) { ++n; },
+      [](std::uint64_t& n, std::span<const hitlist::AddressRecord> block) {
+        n += block.size();
+      },
       [](std::uint64_t& into, std::uint64_t&& from) { into += from; },
       [&records](std::uint64_t&& n) { records = n; });
-  scan.add_kernel<std::uint64_t>(
+  scan.add_block_kernel<std::uint64_t>(
       "observations", [] { return std::uint64_t{0}; },
-      [](std::uint64_t& n, const hitlist::AddressRecord& rec) {
-        n += rec.count;
+      [](std::uint64_t& n, std::span<const hitlist::AddressRecord> block) {
+        for (const auto& rec : block) n += rec.count;
       },
       [](std::uint64_t& into, std::uint64_t&& from) { into += from; },
       [&observations](std::uint64_t&& n) { observations = n; });
@@ -110,9 +112,9 @@ TEST(ParallelScanEngine, EmptyCorpusAndMoreShardsThanSlots) {
 TEST(ParallelScanEngine, ZeroThreadsResolvesToHardware) {
   AnalysisConfig config;
   config.threads = 0;
-  EXPECT_GE(config.resolved_threads(), 1u);
+  EXPECT_GE(config.threads.resolved(), 1u);
   config.threads = 3;
-  EXPECT_EQ(config.resolved_threads(), 3u);
+  EXPECT_EQ(config.threads.resolved(), 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -134,8 +136,7 @@ class ParallelIdentityTest : public ::testing::Test {
     config.caida_campaign.duration = 10 * util::kDay;
     config.caida_campaign.slash48_fraction = 0.005;
     study_ = new core::Study(config);
-    study_->collect();
-    study_->run_campaigns();
+    study_->run({.backscan = false, .analysis = false});
   }
   static void TearDownTestSuite() {
     delete study_;
@@ -309,7 +310,7 @@ TEST_F(ParallelIdentityTest, StageStatsAreRecorded) {
 }
 
 TEST_F(ParallelIdentityTest, StudyRunAnalysisUsesKnobAndRecordsStats) {
-  study_->run_analysis();
+  study_->run({.collect = false, .campaigns = false, .backscan = false});
   const auto& report = study_->results().analysis;
   EXPECT_GT(report.entropy.count(), 1000u);
   ASSERT_EQ(report.table1.size(), 3u);

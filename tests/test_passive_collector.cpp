@@ -40,14 +40,14 @@ Corpus collect(const sim::World& world, const CollectorConfig& config,
 void expect_identical_corpora(const Corpus& a, const Corpus& b) {
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.total_observations(), b.total_observations());
-  a.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : a.records()) {
     const auto* other = b.find(rec.address);
     ASSERT_NE(other, nullptr);
     EXPECT_EQ(other->first_seen, rec.first_seen);
     EXPECT_EQ(other->last_seen, rec.last_seen);
     EXPECT_EQ(other->count, rec.count);
     EXPECT_EQ(other->vantage_mask, rec.vantage_mask);
-  });
+  }
 }
 
 TEST_F(PassiveCollectorTest, CollectsObservations) {
@@ -154,9 +154,9 @@ TEST_F(PassiveCollectorTest, BurstsYieldMultipleSightingsPerSync) {
   // multiple observations seconds apart.
   const auto corpus = collect(*world_, {false, 0.0, 3}, 0, util::kDay);
   bool found_burst_record = false;
-  corpus.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : corpus.records()) {
     if (rec.count >= 4 && rec.lifetime() <= 30) found_burst_record = true;
-  });
+  }
   EXPECT_TRUE(found_burst_record)
       << "expected at least one iburst-style record (>=4 sightings within "
          "seconds)";
@@ -251,10 +251,10 @@ TEST_F(PassiveCollectorTest, DeterministicAcrossRuns) {
 TEST_F(PassiveCollectorTest, WindowBoundsRespected) {
   const auto corpus =
       collect(*world_, {false, 0.0, 3}, util::kDay, 2 * util::kDay);
-  corpus.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : corpus.records()) {
     EXPECT_GE(rec.first_seen, static_cast<std::uint32_t>(util::kDay));
     EXPECT_LT(rec.last_seen, static_cast<std::uint32_t>(2 * util::kDay));
-  });
+  }
 }
 
 std::string corpus_bytes(const Corpus& corpus) {

@@ -138,11 +138,11 @@ TEST(ServeSnapshot, OuiTotalsMatchEui64Tracker) {
   // (Rows are not directly iterable — answer-surface only — so rebuild
   // the key set from the corpus.)
   std::vector<std::uint32_t> ouis;
-  ntp.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : ntp.records()) {
     if (const auto mac = net::mac_from_eui64(rec.address.iid())) {
       ouis.push_back(mac->oui().value());
     }
-  });
+  }
   std::sort(ouis.begin(), ouis.end());
   ouis.erase(std::unique(ouis.begin(), ouis.end()), ouis.end());
   EXPECT_EQ(ouis.size(), snap->oui_count());

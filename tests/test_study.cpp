@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -32,7 +34,8 @@ StudyConfig small_study(std::uint64_t seed = 7) {
 class StudyTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    study_ = new Study(Study::run(small_study()));
+    study_ = new Study(small_study());
+    study_->run();
   }
   static void TearDownTestSuite() { delete study_; }
   static Study* study_;
@@ -125,11 +128,34 @@ TEST_F(StudyTest, CountryMixMatchesPaperShape) {
               mix[0].first.to_string() == "CN");
 }
 
+TEST_F(StudyTest, CountryMixOrdersByCountThenCountryCode) {
+  // Equal counts must not come out in hash-table bucket order: the mix is
+  // sorted by count descending, then country code ascending (an ordered
+  // tally, stably sorted by count).
+  const auto mix = study_->country_mix();
+  std::map<geo::CountryCode, std::uint64_t> tally;
+  for (const auto& rec : study_->results().ntp.records()) {
+    if (const auto as_index = study_->world().as_index_of(rec.address)) {
+      ++tally[study_->world().country_of_as(*as_index)];
+    }
+  }
+  std::vector<std::pair<geo::CountryCode, std::uint64_t>> want(
+      tally.begin(), tally.end());
+  std::stable_sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    return a.second > b.second;
+  });
+  EXPECT_EQ(mix, want);
+  const auto tie = std::adjacent_find(
+      mix.begin(), mix.end(),
+      [](const auto& a, const auto& b) { return a.second == b.second; });
+  EXPECT_NE(tie, mix.end()) << "the small study should exercise the tie-break";
+}
+
 TEST_F(StudyTest, StagesAreIdempotent) {
   // Rerunning a stage must not change results.
   auto& study = *study_;
   const auto before = study.results().ntp.size();
-  study.collect();
+  study.run({.campaigns = false, .backscan = false, .analysis = false});
   EXPECT_EQ(study.results().ntp.size(), before);
 }
 
@@ -141,9 +167,7 @@ TEST_P(StudySeedSweep, InvariantsHoldAcrossSeeds) {
   auto config = small_study(GetParam());
   config.world.total_sites = 350;
   Study study(config);
-  study.collect();
-  study.run_campaigns();
-  const auto& r = study.results();
+  const auto& r = study.run({.backscan = false, .analysis = false});
 
   // Passive beats active in volume; corpora are mostly disjoint.
   EXPECT_GT(r.ntp.size(), r.hitlist.corpus.size());
@@ -160,11 +184,11 @@ TEST_P(StudySeedSweep, InvariantsHoldAcrossSeeds) {
 
   // The Hitlist never publishes addresses inside its own aliased list.
   std::uint64_t inside = 0;
-  r.hitlist.corpus.for_each([&](const hitlist::AddressRecord& rec) {
+  for (const auto& rec : r.hitlist.corpus.records()) {
     for (const auto& p : r.hitlist.aliased_prefixes) {
       if (p.contains(rec.address)) ++inside;
     }
-  });
+  }
   EXPECT_EQ(inside, 0u);
 }
 
@@ -174,8 +198,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StudySeedSweep,
 TEST(StudyDeterminism, SameConfigSameCorpus) {
   auto a = Study(small_study(11));
   auto b = Study(small_study(11));
-  a.collect();
-  b.collect();
+  a.run({.campaigns = false, .backscan = false, .analysis = false});
+  b.run({.campaigns = false, .backscan = false, .analysis = false});
   EXPECT_EQ(a.results().ntp.size(), b.results().ntp.size());
   EXPECT_EQ(a.results().ntp.total_observations(),
             b.results().ntp.total_observations());
@@ -184,8 +208,8 @@ TEST(StudyDeterminism, SameConfigSameCorpus) {
 TEST(StudyDeterminism, DifferentSeedsDiffer) {
   auto a = Study(small_study(11));
   auto b = Study(small_study(12));
-  a.collect();
-  b.collect();
+  a.run({.campaigns = false, .backscan = false, .analysis = false});
+  b.run({.campaigns = false, .backscan = false, .analysis = false});
   EXPECT_NE(a.results().ntp.size(), b.results().ntp.size());
 }
 

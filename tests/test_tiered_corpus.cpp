@@ -113,14 +113,14 @@ TEST(TieredCorpus, FindAggregatesAcrossRuns) {
   const auto sightings = random_sightings(4000, 7);
   const Corpus want = reference_corpus(sightings);
   const auto runs = spilled(sightings, 6);
-  want.for_each([&](const AddressRecord& rec) {
+  for (const auto& rec : want.records()) {
     const auto got = runs->find(rec.address);
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(got->first_seen, rec.first_seen);
     EXPECT_EQ(got->last_seen, rec.last_seen);
     EXPECT_EQ(got->count, rec.count);
     EXPECT_EQ(got->vantage_mask, rec.vantage_mask);
-  });
+  }
   EXPECT_FALSE(runs->contains(addr(0xdead, 0xbeef)));
   EXPECT_FALSE(runs->find(addr(0xdead, 0xbeef)).has_value());
 }

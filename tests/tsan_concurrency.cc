@@ -132,16 +132,19 @@ void parallel_scan_analysis() {
   v6::analysis::ParallelScan scan(config);
   std::uint64_t counted = 0;
   std::uint64_t above_median = 0;
-  scan.add_kernel<std::uint64_t>(
+  using Block = std::span<const v6::hitlist::AddressRecord>;
+  scan.add_block_kernel<std::uint64_t>(
       "count", [] { return std::uint64_t{0}; },
-      [](std::uint64_t& n, const v6::hitlist::AddressRecord&) { ++n; },
+      [](std::uint64_t& n, Block block) { n += block.size(); },
       [](std::uint64_t& into, std::uint64_t&& from) { into += from; },
       [&counted](std::uint64_t&& n) { counted = n; });
-  scan.add_kernel<std::uint64_t>(
+  scan.add_block_kernel<std::uint64_t>(
       "shared-reader", [] { return std::uint64_t{0}; },
-      [&shared](std::uint64_t& n, const v6::hitlist::AddressRecord& rec) {
+      [&shared](std::uint64_t& n, Block block) {
         // Concurrent const queries against one shared distribution.
-        if (shared.cdf(static_cast<double>(rec.last_seen)) > 0.5) ++n;
+        for (const auto& rec : block) {
+          if (shared.cdf(static_cast<double>(rec.last_seen)) > 0.5) ++n;
+        }
       },
       [](std::uint64_t& into, std::uint64_t&& from) { into += from; },
       [&above_median](std::uint64_t&& n) { above_median = n; });
