@@ -27,12 +27,11 @@ struct RowResult {
 
 RowResult run_once(const sim::World& world, double capture,
                    bool ignore_bursts) {
-  netsim::DataPlane plane(world, {0.01, 1});
   netsim::PoolDns dns(world, 0.25, capture);
   hitlist::CollectorConfig config;
   config.loss_rate = 0.01;
   config.ignore_bursts = ignore_bursts;
-  hitlist::PassiveCollector collector(world, plane, dns, config);
+  hitlist::PassiveCollector collector(world, dns, /*faults=*/nullptr, config);
   hitlist::Corpus corpus(1 << 16);
   collector.run(corpus, 0, world.config().study_duration);
 

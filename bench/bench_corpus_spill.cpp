@@ -34,8 +34,8 @@ int main() {
   netsim::PoolDns dns(study.world(), 0.25, config.pool_capture_share);
 
   // Reference: the whole corpus in one in-memory table.
-  hitlist::PassiveCollector in_memory_collector(study.world(),
-                                                study.plane(), dns,
+  hitlist::PassiveCollector in_memory_collector(study.world(), dns,
+                                                study.faults(),
                                                 config.collector);
   hitlist::Corpus reference(1 << 16);
   const double in_memory_s =
@@ -50,8 +50,8 @@ int main() {
   hitlist::SpillConfig spill;
   spill.memory_budget_bytes = budget_kib << 10;
   hitlist::TieredCorpus runs(spill);
-  hitlist::PassiveCollector spilling_collector(study.world(),
-                                               study.plane(), dns,
+  hitlist::PassiveCollector spilling_collector(study.world(), dns,
+                                               study.faults(),
                                                config.collector);
   const double ingest_s = bench::timed_seconds(
       "out-of-core collection (" + std::to_string(budget_kib) +

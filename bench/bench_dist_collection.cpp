@@ -60,9 +60,9 @@ int main() {
   hitlist::Corpus reference(1 << 16);
   std::uint64_t reference_polls = 0;
   const double single_s = bench::timed_seconds("single-process", [&] {
-    netsim::DataPlane plane(world, {collector_cfg.loss_rate, 1});
     netsim::PoolDns dns(world, 0.25, 0.03);
-    hitlist::PassiveCollector collector(world, plane, dns, collector_cfg);
+    hitlist::PassiveCollector collector(world, dns, /*faults=*/nullptr,
+                                        collector_cfg);
     collector.run(reference, start, end);
     reference_polls = collector.polls_attempted();
   });
@@ -70,13 +70,13 @@ int main() {
 
   const auto run_cluster = [&](std::uint32_t workers, std::uint32_t kills,
                                hitlist::Corpus& out) {
-    netsim::DataPlane plane(world, {collector_cfg.loss_rate, 1});
     netsim::PoolDns dns(world, 0.25, 0.03);
     dist::DistConfig dist_config;
     dist_config.workers = workers;
     dist_config.forced_kills = kills;
     dist_config.chunk_interval = 14 * util::kDay;
-    dist::SimCluster cluster(world, plane, dns, collector_cfg, dist_config);
+    dist::SimCluster cluster(world, /*vantage_faults=*/nullptr, dns,
+                             collector_cfg, dist_config);
     return cluster.run(out, start, end);
   };
 

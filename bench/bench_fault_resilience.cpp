@@ -30,7 +30,6 @@ struct RowResult {
 
 RowResult run_once(const sim::World& world, double outages_per_vantage,
                    std::uint32_t retry_limit) {
-  netsim::DataPlane plane(world, {0.01, 1});
   netsim::PoolDns dns(world, 0.25, 0.03);
 
   netsim::FaultPlanConfig plan;
@@ -39,15 +38,14 @@ RowResult run_once(const sim::World& world, double outages_per_vantage,
   plan.flaps_per_vantage = 2 * outages_per_vantage;
   netsim::FaultSchedule faults(world.vantages(), plan, 0,
                                world.config().study_duration);
-  if (plan.active()) {
-    plane.set_faults(&faults);
-    dns.set_health_monitor(&faults, 15 * util::kMinute);
-  }
+  if (plan.active()) dns.set_health_monitor(&faults, 15 * util::kMinute);
 
   hitlist::CollectorConfig config;
   config.loss_rate = 0.01;
   config.retry_limit = retry_limit;
-  hitlist::PassiveCollector collector(world, plane, dns, config);
+  hitlist::PassiveCollector collector(world, dns,
+                                      plan.active() ? &faults : nullptr,
+                                      config);
   hitlist::Corpus corpus(1 << 16);
   collector.run(corpus, 0, world.config().study_duration);
 

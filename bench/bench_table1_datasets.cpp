@@ -26,7 +26,7 @@ int main() {
     netsim::PoolDns dns(study.world(), 0.25, config.pool_capture_share);
     hitlist::CollectorConfig serial_config = config.collector;
     serial_config.threads = 1;
-    hitlist::PassiveCollector serial(study.world(), study.plane(), dns,
+    hitlist::PassiveCollector serial(study.world(), dns, study.faults(),
                                      serial_config);
     hitlist::Corpus serial_corpus(1 << 16);
     serial_s =
@@ -35,7 +35,7 @@ int main() {
                      config.world.study_start +
                          config.world.study_duration);
         });
-    hitlist::PassiveCollector sharded(study.world(), study.plane(), dns,
+    hitlist::PassiveCollector sharded(study.world(), dns, study.faults(),
                                       config.collector);
     hitlist::Corpus sharded_corpus(1 << 16);
     sharded_s =

@@ -29,7 +29,7 @@ int main() {
   // Wire the monitor into collection by rerunning the collector with a
   // hook (Study::collect has no hook; use the collector directly).
   netsim::PoolDns dns(study.world(), 0.25, 1.0);
-  hitlist::PassiveCollector collector(study.world(), study.plane(), dns,
+  hitlist::PassiveCollector collector(study.world(), dns, study.faults(),
                                       config.collector);
   hitlist::Corpus corpus(1 << 16);
   collector.run(corpus, 0, config.world.study_duration,

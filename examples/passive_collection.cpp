@@ -1,10 +1,10 @@
-// Passive collection, end to end, at full wire fidelity.
+// Passive collection, end to end.
 //
 // Builds a small world, joins its 27 vantage servers to the simulated NTP
-// Pool, and runs a month of collection with every poll exchanged as real
-// RFC 5905 packets over UDP (checksummed, validated, lossy). Prints the
-// per-vantage request load and finishes by emitting the ethically shareable
-// artifact: the corpus aggregated to /48s.
+// Pool, and runs a month of collection in which every vantage logs the
+// source address of each poll it serves (1% loss in each direction).
+// Prints the per-vantage request load and finishes by emitting the
+// ethically shareable artifact: the corpus aggregated to /48s.
 #include <cstdio>
 #include <sstream>
 
@@ -25,17 +25,16 @@ int main() {
               world.sites().size(), world.devices().size(),
               world.ases().size(), world.vantages().size());
 
-  netsim::DataPlane plane(world, {0.01, 1});
-  // Every vantage captures everything here (vantage_share 1.0) so the
-  // wire path gets a thorough workout; the Study pipeline uses the
-  // realistic sampled share instead.
+  // Every vantage captures everything here (vantage_share 1.0) so each
+  // server sees its whole geo-steered client base; the Study pipeline uses
+  // the realistic sampled share instead.
   netsim::PoolDns dns(world, 0.10, 1.0);
 
   hitlist::CollectorConfig collector_config;
-  collector_config.wire_fidelity = true;  // full packet path per poll
   collector_config.loss_rate = 0.01;
 
-  hitlist::PassiveCollector collector(world, plane, dns, collector_config);
+  hitlist::PassiveCollector collector(world, dns, /*faults=*/nullptr,
+                                      collector_config);
   hitlist::Corpus corpus(1 << 16);
 
   std::uint64_t per_vantage[32] = {};

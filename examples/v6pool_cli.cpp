@@ -566,14 +566,14 @@ int cmd_worker(int argc, char** argv) {
     return 1;
   }
   const core::StudyConfig study_config = build_study_config(argc, argv);
-  // Constructing the Study builds the identical world / data plane / DNS
-  // stack every other process of this run builds — the worker only ever
-  // reads from it under lease.
+  // Constructing the Study builds the identical world / DNS / fault plan
+  // every other process of this run builds — the worker only ever reads
+  // from it under lease.
   core::Study study(study_config);
 
   dist::NodeEnv env;
   env.world = &study.world();
-  env.plane = &study.plane();
+  env.faults = study.faults();
   env.dns = &study.pool_dns();
   env.collector = study.config().collector;
   env.start = study_config.world.study_start;

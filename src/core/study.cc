@@ -31,14 +31,13 @@ Study::Study(const StudyConfig& config) : config_(config) {
                                            config.pool_capture_share);
   if (config.metrics) dns_->set_metrics(metrics_.get());
   if (config.faults.active()) {
-    // One seeded plan shared by the data plane (drops datagrams to
-    // crashed vantages) and the pool DNS (health-aware steering). Being a
-    // pure function of time, the plan reconstructs identically in a
-    // resumed study.
+    // One seeded plan shared by the collectors (polls to crashed vantages
+    // are lost) and the pool DNS (health-aware steering). Being a pure
+    // function of time, the plan reconstructs identically in a resumed
+    // study.
     faults_ = std::make_unique<netsim::FaultSchedule>(
         world_->vantages(), config.faults, config.world.study_start,
         config.world.study_start + config.world.study_duration);
-    plane_->set_faults(faults_.get());
     dns_->set_health_monitor(faults_.get(), config.pool_monitor_delay);
   }
 }
@@ -93,7 +92,7 @@ void set_vantage_gauges(obs::Registry& registry,
 }  // namespace
 
 void Study::do_collect(const hitlist::CheckpointSink& sink) {
-  hitlist::PassiveCollector collector(*world_, *plane_, *dns_,
+  hitlist::PassiveCollector collector(*world_, *dns_, faults_.get(),
                                       collector_config());
   const util::SimTime start = config_.world.study_start;
   const util::SimTime end = start + config_.world.study_duration;
@@ -114,7 +113,7 @@ void Study::do_collect(const hitlist::CheckpointSink& sink) {
 
 void Study::do_resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
                               const hitlist::CheckpointSink& sink) {
-  hitlist::PassiveCollector collector(*world_, *plane_, *dns_,
+  hitlist::PassiveCollector collector(*world_, *dns_, faults_.get(),
                                       collector_config());
   if (config_.spill.active()) {
     // Resume honors the memory budget: the checkpointed snapshot becomes
@@ -135,7 +134,7 @@ void Study::do_resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
 }
 
 void Study::do_collect_distributed(const dist::DistConfig& dist_config) {
-  dist::SimCluster cluster(*world_, *plane_, *dns_, config_.collector,
+  dist::SimCluster cluster(*world_, faults_.get(), *dns_, config_.collector,
                            dist_config, nullptr,
                            config_.metrics ? metrics_.get() : nullptr,
                            config_.metrics ? sampler_ : nullptr);
@@ -191,7 +190,7 @@ void Study::do_backscan() {
   // clearing here states the intent).
   serial_config.epoch_sink = {};
   serial_config.epoch_interval = 0;
-  hitlist::PassiveCollector collector(*world_, *plane_, *dns_,
+  hitlist::PassiveCollector collector(*world_, *dns_, faults_.get(),
                                       serial_config);
   const auto hook = [&](const ntp::Observation& obs,
                         const net::Ipv6Address& vantage_address) {

@@ -60,8 +60,8 @@ struct StudyConfig {
   double pool_capture_share = 0.03;
 
   // Vantage fault injection over the study window. Inactive by default;
-  // when active the same seeded plan drives the data plane (dropped
-  // datagrams), the pool's health monitoring (steering), and the
+  // when active the same seeded plan drives the collector (polls lost to
+  // crashed vantages), the pool's health monitoring (steering), and the
   // per-vantage degradation stats in StudyResults.
   netsim::FaultPlanConfig faults;
   // How long the pool monitor takes to notice a crash (and, later, the
@@ -200,8 +200,8 @@ struct RunOptions {
   // rest of the pipeline. The merged corpus, saved bytes, and every
   // analysis float are bit-identical to the single-process run at any
   // worker count, including under injected worker kills/stalls.
-  // Incompatible with spill, resume_from, checkpoint_sink, and
-  // collector.wire_fidelity (run() throws std::invalid_argument).
+  // Incompatible with spill, resume_from and checkpoint_sink (run()
+  // throws std::invalid_argument).
   std::optional<dist::DistConfig> distributed{};
   // Hitlist-as-a-service: with serve.enabled, stage 1 publishes epoch
   // snapshots into Study::query_service() — interior epochs every

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "proto/buffer.h"
-#include "proto/checksum.h"
+#include "proto/crc32.h"
 
 namespace v6::dist {
 

@@ -37,13 +37,14 @@ struct WorkerState {
 
 }  // namespace
 
-SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
+SimCluster::SimCluster(const sim::World& world,
+                       const netsim::FaultSchedule* vantage_faults,
                        const netsim::PoolDns& dns,
                        const hitlist::CollectorConfig& collector_cfg,
                        const DistConfig& config,
                        netsim::WorkerFaultSchedule* faults,
                        obs::Registry* registry, obs::TimelineSampler* sampler)
-    : env_{&world, &plane, &dns, collector_cfg},
+    : env_{&world, vantage_faults, &dns, collector_cfg},
       config_(config),
       faults_(faults),
       registry_(registry),
@@ -53,13 +54,6 @@ SimCluster::SimCluster(const sim::World& world, netsim::DataPlane& plane,
   }
   if (config_.chunk_interval <= 0) {
     throw std::invalid_argument("SimCluster: chunk_interval must be > 0");
-  }
-  if (env_.collector.wire_fidelity) {
-    // The wire path serializes every poll through the shared DataPlane's
-    // mutable state; a device part would not see the plane state of the
-    // whole-world run. Fail loudly instead of silently losing bit-identity.
-    throw std::invalid_argument(
-        "SimCluster: wire_fidelity collection cannot be distributed");
   }
 }
 

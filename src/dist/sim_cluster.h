@@ -127,10 +127,13 @@ class SimCluster {
   // coincides with the checkpoint grid; the completing lease uploads the
   // pair as a kObsReport frame, aggregated into DistReport::cluster_obs).
   // The cluster still reports merged totals into the caller's `registry`
-  // after the merge. `faults` (optional) lets the caller inject
-  // forced kills on top of config.worker_faults; pass nullptr to let the
-  // cluster build the plan from the config alone.
-  SimCluster(const sim::World& world, netsim::DataPlane& plane,
+  // after the merge. `vantage_faults` is the vantage fault plan every
+  // lease's collector consults (nullptr: no vantage faults). `faults`
+  // (optional) lets the caller inject forced worker kills on top of
+  // config.worker_faults; pass nullptr to let the cluster build the worker
+  // plan from the config alone.
+  SimCluster(const sim::World& world,
+             const netsim::FaultSchedule* vantage_faults,
              const netsim::PoolDns& dns,
              const hitlist::CollectorConfig& collector_cfg,
              const DistConfig& config,

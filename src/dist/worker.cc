@@ -83,7 +83,7 @@ LeaseResult run_lease(const NodeEnv& env, std::uint32_t part,
                                from.window_start);
   cfg.metrics = &registry;
   cfg.sampler = &sampler;
-  hitlist::PassiveCollector collector(*env.world, *env.plane, *env.dns, cfg);
+  hitlist::PassiveCollector collector(*env.world, *env.dns, env.faults, cfg);
   collector.resume(corpus, from, {}, sink);
 
   hitlist::CheckpointState state;
@@ -103,7 +103,7 @@ LeaseResult run_lease(const NodeEnv& env, std::uint32_t part,
 
 Worker::Worker(const NodeEnv& env, const WorkerConfig& config)
     : env_(env), config_(config) {
-  if (env_.world == nullptr || env_.plane == nullptr || env_.dns == nullptr) {
+  if (env_.world == nullptr || env_.dns == nullptr) {
     throw std::invalid_argument("Worker: NodeEnv must be fully wired");
   }
   if (config_.dir.empty()) {

@@ -15,7 +15,7 @@
 #include "dist/protocol.h"
 #include "hitlist/checkpoint_io.h"
 #include "hitlist/passive_collector.h"
-#include "netsim/data_plane.h"
+#include "netsim/fault_schedule.h"
 #include "netsim/pool_dns.h"
 #include "sim/world.h"
 #include "util/sim_time.h"
@@ -25,10 +25,10 @@ namespace v6::dist {
 // Everything a node needs to run collection: the deterministic simulation
 // inputs every process rebuilds identically from the shared study flags.
 // Pointers are borrowed; the owner (the CLI's Study) must outlive the
-// worker.
+// worker. `faults` is the vantage fault plan (nullptr: no faults).
 struct NodeEnv {
   const sim::World* world = nullptr;
-  netsim::DataPlane* plane = nullptr;
+  const netsim::FaultSchedule* faults = nullptr;
   const netsim::PoolDns* dns = nullptr;
   // Base collector configuration (metrics/sampler are replaced by a
   // per-lease registry + sampler whose report is uploaded as a

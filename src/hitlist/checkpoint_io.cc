@@ -11,7 +11,7 @@
 
 #include "hitlist/corpus_io.h"
 #include "proto/buffer.h"
-#include "proto/checksum.h"
+#include "proto/crc32.h"
 
 namespace v6::hitlist {
 

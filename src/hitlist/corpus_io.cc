@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "proto/buffer.h"
-#include "proto/checksum.h"
+#include "proto/crc32.h"
 
 namespace v6::hitlist {
 

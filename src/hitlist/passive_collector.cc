@@ -1,11 +1,8 @@
 #include "hitlist/passive_collector.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "hitlist/tiered_corpus.h"
-#include "proto/ntp_packet.h"
-#include "proto/udp.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -13,9 +10,9 @@ namespace v6::hitlist {
 
 namespace {
 
-// Mirrors Rng::uniform()'s mapping of a raw draw to [0, 1): both collection
-// paths burn the same two raw draws per attempt, and the fast path turns
-// them into loss decisions with exactly the distribution chance() uses.
+// Mirrors Rng::uniform()'s mapping of a raw draw to [0, 1): each attempt's
+// two raw draws become its loss decisions with exactly the distribution
+// chance() uses.
 double unit(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
@@ -31,17 +28,10 @@ util::SimDuration backoff_offset(std::uint32_t attempt,
 }  // namespace
 
 PassiveCollector::PassiveCollector(const sim::World& world,
-                                   netsim::DataPlane& plane,
                                    const netsim::PoolDns& dns,
+                                   const netsim::FaultSchedule* faults,
                                    const CollectorConfig& config)
-    : world_(&world), plane_(&plane), dns_(&dns), config_(config) {
-  if (config_.wire_fidelity && config_.part.count > 1) {
-    // Every wire-path poll mutates the shared DataPlane, so a device part
-    // would not see the plane state the whole-world run sees.
-    throw std::invalid_argument(
-        "PassiveCollector: wire_fidelity collection cannot be split into "
-        "device parts");
-  }
+    : world_(&world), dns_(&dns), faults_(faults), config_(config) {
   if (config_.metrics != nullptr) {
     obs::Registry& reg = *config_.metrics;
     metric_polls_ = reg.counter("v6_collector_polls_total",
@@ -105,7 +95,6 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
     client = world_->device_address(ds.id, t);
     vantage = dns_->resolve(client, ds.rng, t, &steered);
   }
-  const netsim::FaultSchedule* faults = plane_->faults();
   const bool record = shard.recording && vantage != nullptr;
   if (record && steered) {
     ++shard.vantage[vantage->id].steered_polls;
@@ -133,46 +122,33 @@ void PassiveCollector::process_event(ShardState& shard, DeviceState& ds,
         ++vh.polls;
         if (attempt > 0) ++vh.retries;
       }
-      // Exactly two draws per attempt on both paths keeps the device
-      // streams in lockstep (see the header comment).
+      // Exactly two draws per attempt, one per transit direction (see the
+      // header comment).
       const std::uint64_t r1 = ds.rng.next();
       const std::uint64_t r2 = ds.rng.next();
-      // Pure-function fault verdict: both paths (and a resumed run)
-      // agree without consulting any RNG.
+      // Pure-function fault verdict: every shard, part and resumed run
+      // agrees without consulting any RNG.
       const bool faulted =
-          faults != nullptr && !faults->delivers(vantage->id, client, tj);
+          faults_ != nullptr && !faults_->delivers(vantage->id, client, tj);
       if (record && faulted) ++vh.lost_to_fault;
-      bool answered = false;
-      if (config_.wire_fidelity) {
-        const auto nonce = static_cast<std::uint32_t>(r1);
-        const proto::NtpPacket request = proto::make_client_request(tj, nonce);
-        // r2 >> 50 == Rng::bounded(16384) on the same draw (power-of-two
-        // Lemire reduction never rejects).
-        const auto src_port = static_cast<std::uint16_t>(49152 + (r2 >> 50));
-        const auto response_bytes =
-            plane_->send_udp(client, src_port, vantage->address,
-                             proto::kNtpPort, request.encode(), tj);
-        if (response_bytes) {
-          // SNTP client-side validation: server mode, origin echoes our
-          // transmit timestamp.
-          const auto response = proto::NtpPacket::decode(*response_bytes);
-          answered = response && response->mode == proto::NtpMode::kServer &&
-                     response->origin_time == request.transmit_time;
+      // Request-direction loss or a fault suppresses the observation
+      // entirely...
+      const bool served = !(unit(r1) < config_.loss_rate) && !faulted;
+      if (served && record) {
+        shard.corpus.add(client, tj, vantage->id);
+        ++shard.vantage_obs[vantage->id];
+        if (shard.hook != nullptr) {
+          const ntp::Observation obs{client, tj, vantage->id};
+          if (shard.hook_mu == nullptr) {
+            (*shard.hook)(obs, vantage->address);
+          } else {
+            std::lock_guard<std::mutex> lock(*shard.hook_mu);
+            (*shard.hook)(obs, vantage->address);
+          }
         }
-      } else {
-        // Fast path: identical steering, loss, and fault model, no
-        // serialization. Request-direction loss suppresses the
-        // observation entirely...
-        const bool request_lost = unit(r1) < config_.loss_rate;
-        bool served = false;
-        if (!request_lost && !faulted) {
-          shard.servers[vantage->id]->record(client, tj);
-          served = true;
-        }
-        // ...response-direction loss costs only the client's answer.
-        answered = served && !(unit(r2) < config_.loss_rate);
       }
-      if (answered) {
+      // ...response-direction loss costs only the client's answer.
+      if (served && !(unit(r2) < config_.loss_rate)) {
         if (record) {
           ++shard.tally.answered;
           ++vh.answered;
@@ -207,13 +183,8 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   const auto vantages = world_->vantages();
   // This collector's device part; the thread shards nest inside it.
   const util::Part::Range part = config_.part.range(devices.size());
-  unsigned shards = config_.threads.resolved();
-  // The wire path serializes every poll through the shared DataPlane
-  // (UDP delivery mutates its loss RNG and routing state), so it stays
-  // single-threaded; the fast path is the one built for scale.
-  if (config_.wire_fidelity) shards = 1;
-  shards = static_cast<unsigned>(std::min<std::size_t>(
-      shards, std::max<std::size_t>(part.size(), 1)));
+  const auto shards = static_cast<unsigned>(std::min<std::size_t>(
+      config_.threads.resolved(), std::max<std::size_t>(part.size(), 1)));
 
   // Counters carried in from the checkpoint (all zero on a fresh run).
   std::vector<VantageHealthStats> base_vh = from.vantage_health;
@@ -227,32 +198,8 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     ShardState& shard = states[s];
     shard.vantage.resize(vantages.size());
     shard.vantage_obs.resize(vantages.size());
-    // One server object per vantage, all sinking into this shard's
-    // corpus. The sink consults the shard's recording flag so replayed
-    // (pre-checkpoint) traffic leaves no trace.
-    shard.servers.reserve(vantages.size());
-    for (const auto& vantage : vantages) {
-      auto observation_sink = [this, shardp = &shard, &hook, mu,
-                               address = vantage.address](
-                                  const ntp::Observation& obs) {
-        if (!shardp->recording) return;
-        shardp->corpus.add(obs.client, obs.time, obs.vantage);
-        if (obs.vantage < shardp->vantage_obs.size()) {
-          ++shardp->vantage_obs[obs.vantage];
-        }
-        if (hook) {
-          if (mu == nullptr) {
-            hook(obs, address);
-          } else {
-            std::lock_guard<std::mutex> lock(*mu);
-            hook(obs, address);
-          }
-        }
-      };
-      shard.servers.push_back(
-          std::make_unique<ntp::NtpServer>(vantage, observation_sink));
-      if (config_.wire_fidelity) shard.servers.back()->bind(*plane_);
-    }
+    shard.hook = hook ? &hook : nullptr;
+    shard.hook_mu = mu;
     // Shard s of the part's device range, so the layout is a pure
     // function of (device count, part, shard count).
     const util::Part::Range range = util::Part{s, shards}.range(part.size());
@@ -284,7 +231,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   };
 
   // Resume: silently replay the already-checkpointed prefix, consuming
-  // RNG / DNS / data-plane state exactly as the original run did.
+  // RNG and DNS state exactly as the original run did.
   if (from.resume_from > from.window_start) {
     for (ShardState& shard : states) shard.recording = false;
     run_chunk(from.resume_from);

@@ -1,19 +1,19 @@
 // The passive collection pipeline: every pool-using device's NTP polls,
 // steered to vantage servers by the pool DNS, logged into a Corpus.
 //
-// Two execution paths produce identical corpora (a test asserts it):
-//   * wire-fidelity — each poll runs the full stack: RFC 5905 client
-//     request -> UDP with pseudo-header checksum -> data-plane delivery
-//     (loss applies) -> server decode/validate/respond -> client validates
-//     the response (mode, origin echo). This is the honest path.
-//   * fast — skips serialization but keeps the identical control flow
-//     (same DNS steering, same loss decisions, same server-side record
-//     call), which makes the 10M+-poll benches tractable.
-// Both paths consume exactly two RNG draws per poll attempt from the
-// device's stream (the wire path spends them on nonce + source port, the
-// fast path on the two loss decisions), so the streams stay in lockstep
-// and — at zero loss — the corpora are bit-identical even under an
-// injected fault plan.
+// Each poll attempt is the server side of RFC 5905 client/server mode,
+// decided from values: the request is lost in transit, swallowed by the
+// vantage fault plan, or served — and a served poll is logged (client
+// address, time, vantage) before the response can still be lost on the
+// way back. No packet is serialized; tests/test_passive_collector.cpp runs
+// the same polls through the test-side NTP/UDP codecs (request encode,
+// server mode check and response, client origin check) and demands the
+// same corpus and answer count.
+//
+// Every attempt consumes exactly two draws from the device's stream, one
+// per transit direction. The rule fixes the stream layout, which the
+// checkpoints, the pinned corpora and the gated benchmark digests depend
+// on: a draw added or dropped anywhere would reshuffle every later poll.
 //
 // Most sync events are invisible to the study: the pool sends them to
 // servers that are not ours (PoolDns::captured draws that roll first).
@@ -39,8 +39,8 @@
 // snapshots the corpus-so-far plus a CheckpointState cursor, and hands
 // both to the sink. A crashed run restarts via resume(): the enumeration
 // [window_start, resume_from) is replayed with recording suppressed —
-// consuming RNG, DNS, and data-plane state exactly as the original run
-// did — then recording switches on at resume_from. The chunk boundaries
+// consuming RNG and DNS state exactly as the original run did — then
+// recording switches on at resume_from. The chunk boundaries
 // never alter any per-device stream, so an interrupted-and-resumed run is
 // bit-identical to an uninterrupted one (a test asserts this at every
 // checkpoint under an active fault schedule).
@@ -48,17 +48,16 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "hitlist/corpus.h"
-#include "netsim/data_plane.h"
+#include "netsim/fault_schedule.h"
 #include "netsim/pool_dns.h"
 #include "ntp/client_schedule.h"
-#include "ntp/server.h"
+#include "ntp/observation.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "sim/world.h"
@@ -69,17 +68,13 @@ namespace v6::hitlist {
 class TieredCorpus;
 
 struct CollectorConfig {
-  bool wire_fidelity = false;
-  // Loss applied on the fast path (the wire path inherits the data
-  // plane's own loss); keep the two equal so the paths agree.
+  // Probability a poll packet is lost in either transit direction.
   double loss_rate = 0.01;
   std::uint64_t seed = 3;
   // Ablation switch: treat every client as a single-packet (non-iburst)
   // poller.
   bool ignore_bursts = false;
-  // Collection shards (see util::Parallelism for the 0/1/N contract). The
-  // wire_fidelity path always runs serially regardless of this knob:
-  // every poll mutates the shared DataPlane.
+  // Collection shards (see util::Parallelism for the 0/1/N contract).
   util::Parallelism threads = util::Parallelism::hardware();
   // RFC 5905-style client persistence: an unanswered poll packet is
   // re-sent up to `retry_limit` times, the i-th retry delayed by
@@ -184,8 +179,12 @@ using ObservationHook = std::function<void(
 
 class PassiveCollector {
  public:
-  PassiveCollector(const sim::World& world, netsim::DataPlane& plane,
-                   const netsim::PoolDns& dns, const CollectorConfig& config);
+  // `faults` is the vantage fault plan every poll attempt consults
+  // (nullptr: no faults). Borrowed and never mutated; it must outlive the
+  // collector.
+  PassiveCollector(const sim::World& world, const netsim::PoolDns& dns,
+                   const netsim::FaultSchedule* faults,
+                   const CollectorConfig& config);
 
   // Runs collection over [start, end); fills `corpus`. `sink`, combined
   // with CollectorConfig::checkpoint_interval, receives periodic
@@ -271,7 +270,6 @@ class PassiveCollector {
   // Everything one shard carries across chunk boundaries.
   struct ShardState {
     Corpus corpus{1 << 12};
-    std::vector<std::unique_ptr<ntp::NtpServer>> servers;
     std::vector<DeviceState> devices;
     ShardTally tally;
     std::vector<VantageHealthStats> vantage;
@@ -279,9 +277,13 @@ class PassiveCollector {
     // (pre-dedup). Lives outside VantageHealthStats because that struct
     // is serialized in the V6CKPT01 checkpoint format.
     std::vector<std::uint64_t> vantage_obs;
-    // Consulted by the observation sink: false while replaying the
-    // already-checkpointed prefix of a resumed run.
+    // False while replaying the already-checkpointed prefix of a resumed
+    // run: polls draw and steer as before but leave no trace.
     bool recording = true;
+    // The caller's observation hook (null when none) and, when shards run
+    // concurrently, the mutex that serializes its calls.
+    const ObservationHook* hook = nullptr;
+    std::mutex* hook_mu = nullptr;
   };
 
   void collect(Corpus& corpus, const CheckpointState& from,
@@ -296,8 +298,8 @@ class PassiveCollector {
                      util::SimTime window_end) const;
 
   const sim::World* world_;
-  netsim::DataPlane* plane_;
   const netsim::PoolDns* dns_;
+  const netsim::FaultSchedule* faults_;
   CollectorConfig config_;
   // Non-null only inside the TieredCorpus run() overload: collect()
   // spills into it instead of merging into the caller's corpus.

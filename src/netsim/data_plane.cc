@@ -1,7 +1,5 @@
 #include "netsim/data_plane.h"
 
-#include "proto/udp.h"
-
 namespace v6::netsim {
 
 DataPlane::DataPlane(const sim::World& world, const DataPlaneConfig& config)
@@ -15,9 +13,6 @@ DataPlane::DataPlane(const sim::World& world, const DataPlaneConfig& config)
     metric_rate_limited_ = config_.metrics->counter(
         "v6_plane_rate_limited_total",
         "Time Exceeded messages suppressed by router ICMP budgets");
-    metric_fault_drops_ = config_.metrics->counter(
-        "v6_plane_fault_drops_total",
-        "Datagrams swallowed by injected vantage faults");
   }
 }
 
@@ -158,46 +153,6 @@ DataPlane::SynOutcome DataPlane::tcp_syn(const net::Ipv6Address& /*src*/,
   if (!reachable || lost()) return SynOutcome::kTimeout;
   // A listener answers SYN-ACK, anyone else RST; both acknowledge the SYN.
   return listening ? SynOutcome::kSynAck : SynOutcome::kRst;
-}
-
-void DataPlane::bind_udp(const net::Ipv6Address& address, std::uint16_t port,
-                         UdpService service) {
-  services_[{address, port}] = std::move(service);
-}
-
-std::optional<std::vector<std::uint8_t>> DataPlane::send_udp(
-    const net::Ipv6Address& src, std::uint16_t src_port,
-    const net::Ipv6Address& dst, std::uint16_t dst_port,
-    const std::vector<std::uint8_t>& payload, util::SimTime t) {
-  // Outbound: wire-encode, lose, deliver, decode (checksum verified).
-  const proto::UdpDatagram datagram{src_port, dst_port, payload};
-  const auto wire = proto::encode_udp(datagram, src, dst);
-  if (lost()) return std::nullopt;
-  const auto delivered = proto::decode_udp(wire, src, dst);
-  if (!delivered) return std::nullopt;
-
-  // Injected vantage faults swallow the datagram before the service sees
-  // it. Checked after lost() so the loss RNG stream is untouched by the
-  // (pure-function) fault plan.
-  if (faults_ != nullptr && !faults_->delivers_to(dst, src, t)) {
-    ++fault_drops_;
-    metric_fault_drops_.inc();
-    return std::nullopt;
-  }
-
-  const auto it = services_.find({dst, dst_port});
-  if (it == services_.end()) return std::nullopt;
-  auto response =
-      it->second(src, delivered->src_port, delivered->payload, t);
-  if (!response) return std::nullopt;
-
-  // Return path.
-  const proto::UdpDatagram back{dst_port, delivered->src_port, *response};
-  const auto back_wire = proto::encode_udp(back, dst, src);
-  if (lost()) return std::nullopt;
-  const auto back_delivered = proto::decode_udp(back_wire, dst, src);
-  if (!back_delivered) return std::nullopt;
-  return back_delivered->payload;
 }
 
 }  // namespace v6::netsim

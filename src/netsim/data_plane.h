@@ -1,28 +1,25 @@
-// The simulated data plane: delivers ICMPv6 probes and UDP datagrams
-// between addresses, consulting the world for ownership, firewalls, and
-// aliases, and the topology for hop-limited (traceroute) behaviour.
+// The simulated data plane: delivers the campaigns' and the backscanner's
+// probes (ICMPv6 echo, hop-limited echo, TCP SYN) between addresses,
+// consulting the world for ownership, firewalls, and aliases, and the
+// topology for hop-limited (traceroute) behaviour.
 //
-// Probe verdicts (echo, hop-limited echo, TCP SYN) are decided from
-// values: who owns the destination, which hop a hop limit expires at, and
-// whether a listener is bound. The plane injects no corruption, so the
-// request/reply encode-and-decode round trip a real stack performs could
-// never change a verdict; tests/test_data_plane.cpp keeps that round trip
-// with the proto:: codecs as the reference the value path must match. UDP
-// datagrams still travel as wire bytes (their payload is the service's
-// input). A configurable loss rate models the real Internet's flakiness;
-// scanners must tolerate it.
+// Probe verdicts are decided from values: who owns the destination, which
+// hop a hop limit expires at, and whether a listener is bound. The plane
+// injects no corruption, so the request/reply encode-and-decode round trip
+// a real stack performs could never change a verdict;
+// tests/test_data_plane.cpp keeps that round trip with the test-side
+// proto:: codecs as the reference the value path must match. A
+// configurable loss rate models the real Internet's flakiness; scanners
+// must tolerate it. NTP polls never cross the plane: the collector decides
+// them from values too (see hitlist::PassiveCollector).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
-#include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "net/ipv6.h"
-#include "netsim/fault_schedule.h"
 #include "netsim/topology.h"
 #include "obs/metrics.h"
 #include "sim/world.h"
@@ -58,12 +55,6 @@ struct ProbeResult {
   // Echoed sequence number (kEchoReply only).
   std::uint16_t sequence = 0;
 };
-
-// A UDP service bound to an address (e.g. a vantage NTP server). Returns
-// the response payload, if any.
-using UdpService = std::function<std::optional<std::vector<std::uint8_t>>(
-    const net::Ipv6Address& src, std::uint16_t src_port,
-    const std::vector<std::uint8_t>& payload, util::SimTime t)>;
 
 class DataPlane {
  public:
@@ -102,34 +93,12 @@ class DataPlane {
                      std::uint16_t dst_port, std::uint32_t sequence,
                      util::SimTime t);
 
-  // Registers a UDP service on (address, port). Datagrams to anyone else
-  // are resolved against the world (devices do not run open UDP services,
-  // so they produce no answer).
-  void bind_udp(const net::Ipv6Address& address, std::uint16_t port,
-                UdpService service);
-
-  // Sends a UDP payload; returns the response payload when the service
-  // answers and nothing was lost.
-  std::optional<std::vector<std::uint8_t>> send_udp(
-      const net::Ipv6Address& src, std::uint16_t src_port,
-      const net::Ipv6Address& dst, std::uint16_t dst_port,
-      const std::vector<std::uint8_t>& payload, util::SimTime t);
-
   const Topology& topology() const noexcept { return topology_; }
-
-  // Attaches a vantage fault schedule: UDP datagrams to a vantage that is
-  // in outage (or unlucky during slow start) vanish before reaching the
-  // bound service. The schedule is consulted, never mutated, so one plan
-  // can be shared across planes and with PoolDns. Pass nullptr to detach.
-  void set_faults(const FaultSchedule* faults) noexcept { faults_ = faults; }
-  const FaultSchedule* faults() const noexcept { return faults_; }
 
   // Number of datagrams dropped so far (both directions).
   std::uint64_t drops() const noexcept { return drops_; }
   // Time Exceeded messages suppressed by router rate limiting.
   std::uint64_t rate_limited() const noexcept { return rate_limited_; }
-  // Datagrams swallowed by injected vantage faults.
-  std::uint64_t fault_drops() const noexcept { return fault_drops_; }
 
  private:
   bool lost();
@@ -143,13 +112,10 @@ class DataPlane {
   DataPlaneConfig config_;
   Topology topology_;
   util::Rng rng_;
-  const FaultSchedule* faults_ = nullptr;
   std::uint64_t drops_ = 0;
   std::uint64_t rate_limited_ = 0;
-  std::uint64_t fault_drops_ = 0;
   obs::Counter metric_drops_;
   obs::Counter metric_rate_limited_;
-  obs::Counter metric_fault_drops_;
   // Per-second ICMP error budgets, keyed by second then router. Ordered so
   // stale seconds can be pruned as the newest-seen second advances; probes
   // may arrive out of chronological order (interleaved backscan intervals
@@ -158,18 +124,6 @@ class DataPlane {
   util::SimTime budget_newest_ = std::numeric_limits<util::SimTime>::min();
   std::map<util::SimTime, std::unordered_map<std::uint64_t, std::uint32_t>>
       icmp_budget_;
-
-  struct Endpoint {
-    net::Ipv6Address address;
-    std::uint16_t port;
-    bool operator==(const Endpoint&) const = default;
-  };
-  struct EndpointHash {
-    std::size_t operator()(const Endpoint& e) const noexcept {
-      return net::Ipv6AddressHash{}(e.address) ^ e.port;
-    }
-  };
-  std::unordered_map<Endpoint, UdpService, EndpointHash> services_;
 };
 
 }  // namespace v6::netsim

@@ -24,10 +24,8 @@ const OutageWindow* latest_window(std::span<const OutageWindow> windows,
 
 }  // namespace
 
-FaultSchedule::FaultSchedule(std::span<const sim::VantagePoint> vantages) {
-  windows_.resize(vantages.size());
-  for (const auto& v : vantages) by_address_[v.address] = v.id;
-}
+FaultSchedule::FaultSchedule(std::span<const sim::VantagePoint> vantages)
+    : FaultSchedule(vantages.size()) {}
 
 FaultSchedule::FaultSchedule(std::size_t lanes) { windows_.resize(lanes); }
 
@@ -112,7 +110,8 @@ bool FaultSchedule::delivers(std::uint8_t vantage, const net::Ipv6Address& src,
   if (slow_start_ <= 0 || t >= w->end + slow_start_) return true;
   // Slow-start ramp: serve a linearly growing fraction. The decision is a
   // pure hash of (plan seed, vantage, client, second) so every caller —
-  // fast path, wire path, resumed run — agrees without touching any Rng.
+  // any shard, device part or resumed run — agrees without touching any
+  // Rng.
   const double ramp = static_cast<double>(t - w->end) /
                       static_cast<double>(slow_start_);
   const std::uint64_t h = util::mix64(
@@ -122,14 +121,6 @@ bool FaultSchedule::delivers(std::uint8_t vantage, const net::Ipv6Address& src,
   const double roll =
       static_cast<double>(h >> 11) * 0x1.0p-53;  // uniform in [0, 1)
   return roll < ramp;
-}
-
-bool FaultSchedule::delivers_to(const net::Ipv6Address& dst,
-                                const net::Ipv6Address& src,
-                                util::SimTime t) const noexcept {
-  const auto it = by_address_.find(dst);
-  if (it == by_address_.end()) return true;
-  return delivers(it->second, src, t);
 }
 
 bool FaultSchedule::marked_down(std::uint8_t vantage, util::SimTime t,

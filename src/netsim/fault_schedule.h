@@ -4,27 +4,28 @@
 // months — long enough for real machines to crash, flap, and get yanked
 // from rotation by the pool's health monitoring. FaultSchedule models that
 // churn the same way sim::World models eyeball-AS outages: a seeded,
-// precomputed plan that is a *pure function of time*, so the fast
-// collection path and the wire-fidelity path (and a crashed-and-resumed
-// run) all see the exact same failures.
+// precomputed plan that is a *pure function of time*, so every collection
+// shard, device part and crashed-and-resumed run sees the exact same
+// failures.
 //
 // Per vantage the plan holds sorted, disjoint outage windows [start, end).
-// While inside a window the server is dark: packets to it vanish. After a
+// While inside a window the server is dark: polls to it vanish. After a
 // window ends the server restarts into a slow-start ramp of length
 // `slow_start`, during which it answers a linearly growing fraction of
 // requests — the decision for a given (vantage, client, second) is a pure
 // hash, not an Rng draw, so it never perturbs any caller's RNG stream.
 //
-// PoolDns consumes the same plan through marked_down(): the real pool's
-// monitoring takes a while to notice a dead server, so a vantage only
-// leaves steering `monitoring_delay` after the crash, and re-enters
-// steering `monitoring_delay` after recovery.
+// The collector consults delivers() for every poll attempt (a faulted
+// attempt is lost before the server logs it). PoolDns consumes the same
+// plan through marked_down(): the real pool's monitoring takes a while to
+// notice a dead server, so a vantage only leaves steering
+// `monitoring_delay` after the crash, and re-enters steering
+// `monitoring_delay` after recovery.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/ipv6.h"
@@ -75,11 +76,6 @@ class FaultSchedule {
   bool delivers(std::uint8_t vantage, const net::Ipv6Address& src,
                 util::SimTime t) const noexcept;
 
-  // Same, keyed by destination address. Addresses that are not vantage
-  // servers always deliver — the schedule only faults vantages.
-  bool delivers_to(const net::Ipv6Address& dst, const net::Ipv6Address& src,
-                   util::SimTime t) const noexcept;
-
   // Pool-monitoring view: the vantage is out of steering once the monitor
   // has had `monitoring_delay` to notice the crash, and returns to
   // steering `monitoring_delay` after the crash window ends.
@@ -97,13 +93,11 @@ class FaultSchedule {
 
  protected:
   // Subclass hook (WorkerFaultSchedule): an empty plan with `lanes` fault
-  // lanes and no vantage address table.
+  // lanes.
   explicit FaultSchedule(std::size_t lanes);
 
  private:
   std::vector<std::vector<OutageWindow>> windows_;  // indexed by vantage id
-  std::unordered_map<net::Ipv6Address, std::uint8_t, net::Ipv6AddressHash>
-      by_address_;
   util::SimDuration slow_start_ = 0;
   std::uint64_t seed_ = 0;
 };

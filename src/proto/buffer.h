@@ -1,10 +1,11 @@
 // Bounds-checked big-endian (network byte order) buffer codecs.
 //
-// All wire formats in src/proto serialize through these two types so that
-// byte-order and bounds handling live in exactly one place. Readers never
-// throw on truncated input; they flip an error flag that codecs translate
-// into a parse failure, which the fuzz-style tests drive with corrupted
-// packets.
+// Every binary codec (the corpus, run, checkpoint and dist formats, and
+// the packet codecs of the test-side wire reference) serializes through
+// these two types, so byte-order and bounds handling live in exactly one
+// place. Readers never throw on truncated input; they flip an error flag
+// that codecs translate into a parse failure, which the fuzz-style tests
+// drive with corrupted packets.
 #pragma once
 
 #include <cstdint>

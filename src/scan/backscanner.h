@@ -20,7 +20,7 @@
 #include "net/ipv6.h"
 #include "net/prefix.h"
 #include "netsim/data_plane.h"
-#include "ntp/server.h"
+#include "ntp/observation.h"
 #include "scan/yarrp.h"
 #include "scan/zmap6.h"
 #include "util/rng.h"

@@ -1,6 +1,6 @@
 #include "proto/icmpv6.h"
 
-#include "proto/checksum.h"
+#include "proto/internet_checksum.h"
 #include "proto/ipv6_header.h"
 
 namespace v6::proto {

@@ -21,10 +21,4 @@ std::uint16_t pseudo_header_checksum(const net::Ipv6Address& src,
                                      std::span<const std::uint8_t> payload)
     noexcept;
 
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), as used by the
-// corpus snapshot v2 per-section integrity trailers. `seed` lets callers
-// chain sections: crc32(b, crc32(a)) == crc32(a ++ b).
-std::uint32_t crc32(std::span<const std::uint8_t> data,
-                    std::uint32_t seed = 0) noexcept;
-
 }  // namespace v6::proto

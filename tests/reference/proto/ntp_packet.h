@@ -1,12 +1,11 @@
 // NTPv4 packet header (RFC 5905 §7.3) — the 48-byte wire format exchanged
 // between NTP Pool clients and our stratum-2 vantage servers.
 //
-// The passive collector never needs more than the source address of a
-// request, but the vantage servers implement the real protocol: they parse
-// client packets, validate mode/version, and answer with a correctly-formed
-// server response (origin = client transmit, receive/transmit stamped from
-// the simulated clock), so the packet path exercised is the same one a real
-// deployment would run.
+// The collector decides each poll from values; this codec is the wire
+// reference it is checked against (tests/test_passive_collector.cpp): the
+// client request, the server's mode check and its response (origin =
+// client transmit, receive/transmit stamped from the simulated clock), and
+// the client's validation of that response.
 #pragma once
 
 #include <cstdint>

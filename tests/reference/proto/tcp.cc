@@ -1,6 +1,6 @@
 #include "proto/tcp.h"
 
-#include "proto/checksum.h"
+#include "proto/internet_checksum.h"
 
 namespace v6::proto {
 

@@ -88,9 +88,9 @@ TEST_F(BadAppleTest, EndToEndCorpusHasLinkage) {
   config.total_sites = 800;
   config.study_duration = 40 * util::kDay;
   const auto world = sim::World::generate(config);
-  netsim::DataPlane plane(world, {0.0, 1});
   netsim::PoolDns dns(world);
-  hitlist::PassiveCollector collector(world, plane, dns, {false, 0.0, 3});
+  hitlist::PassiveCollector collector(world, dns, /*faults=*/nullptr,
+                                      {.loss_rate = 0.0, .seed = 3});
   hitlist::Corpus corpus(1 << 14);
   collector.run(corpus, 0, 40 * util::kDay);
 

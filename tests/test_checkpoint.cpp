@@ -75,7 +75,7 @@ netsim::FaultPlanConfig busy_plan() {
 }
 
 CollectorConfig checkpointing_config() {
-  CollectorConfig config{false, 0.01, 3};
+  CollectorConfig config{.loss_rate = 0.01, .seed = 3};
   config.threads = 3;
   config.retry_limit = 2;
   config.retry_backoff = 8;
@@ -102,11 +102,9 @@ TEST_F(CheckpointTest, ResumeFromAnyCheckpointIsBitIdentical) {
   std::uint64_t reference_answered = 0;
   std::vector<VantageHealthStats> reference_health;
   {
-    netsim::DataPlane plane(*world_, {config.loss_rate, 1});
-    plane.set_faults(&faults);
     netsim::PoolDns dns(*world_);
     dns.set_health_monitor(&faults, 15 * util::kMinute);
-    PassiveCollector collector(*world_, plane, dns, config);
+    PassiveCollector collector(*world_, dns, &faults, config);
     collector.run(reference, start, end, {},
                   [&](const CheckpointState& state, const Corpus& corpus) {
                     std::stringstream out;
@@ -129,13 +127,11 @@ TEST_F(CheckpointTest, ResumeFromAnyCheckpointIsBitIdentical) {
     EXPECT_EQ(checkpoint.state.resume_from,
               start + static_cast<util::SimTime>(i + 1) * util::kDay);
 
-    // A "rebooted" process: fresh plane, DNS, collector — only the world,
-    // the config, and the checkpoint file survive the crash.
-    netsim::DataPlane plane(*world_, {config.loss_rate, 1});
-    plane.set_faults(&faults);
+    // A "rebooted" process: fresh DNS and collector — only the world, the
+    // fault plan, the config, and the checkpoint file survive the crash.
     netsim::PoolDns dns(*world_);
     dns.set_health_monitor(&faults, 15 * util::kMinute);
-    PassiveCollector collector(*world_, plane, dns, config);
+    PassiveCollector collector(*world_, dns, &faults, config);
     collector.resume(checkpoint.corpus, checkpoint.state);
 
     expect_identical_corpora(reference, checkpoint.corpus);
@@ -150,17 +146,10 @@ TEST_F(CheckpointTest, ThrowingSinkSimulatesCrashMidRun) {
   const auto config = checkpointing_config();
   const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
 
-  const auto make_plane = [&] {
-    netsim::DataPlane plane(*world_, {config.loss_rate, 1});
-    plane.set_faults(&faults);
-    return plane;
-  };
-
   Corpus reference(1 << 12);
   {
-    auto plane = make_plane();
     netsim::PoolDns dns(*world_);
-    PassiveCollector collector(*world_, plane, dns, config);
+    PassiveCollector collector(*world_, dns, &faults, config);
     collector.run(reference, 0, end);
   }
 
@@ -169,9 +158,8 @@ TEST_F(CheckpointTest, ThrowingSinkSimulatesCrashMidRun) {
   std::string survived;
   struct Crash {};
   {
-    auto plane = make_plane();
     netsim::PoolDns dns(*world_);
-    PassiveCollector collector(*world_, plane, dns, config);
+    PassiveCollector collector(*world_, dns, &faults, config);
     Corpus partial(1 << 12);
     int seen = 0;
     EXPECT_THROW(
@@ -187,9 +175,8 @@ TEST_F(CheckpointTest, ThrowingSinkSimulatesCrashMidRun) {
 
   std::stringstream in(survived);
   auto checkpoint = load_checkpoint(in);
-  auto plane = make_plane();
   netsim::PoolDns dns(*world_);
-  PassiveCollector collector(*world_, plane, dns, config);
+  PassiveCollector collector(*world_, dns, &faults, config);
   collector.resume(checkpoint.corpus, checkpoint.state);
   expect_identical_corpora(reference, checkpoint.corpus);
 }
@@ -202,9 +189,8 @@ TEST_F(CheckpointTest, CheckpointIntervalDoesNotChangeTheCorpus) {
 
   const auto run_with_interval = [&](util::SimDuration interval) {
     config.checkpoint_interval = interval;
-    netsim::DataPlane plane(*world_, {config.loss_rate, 1});
     netsim::PoolDns dns(*world_);
-    PassiveCollector collector(*world_, plane, dns, config);
+    PassiveCollector collector(*world_, dns, /*faults=*/nullptr, config);
     Corpus corpus(1 << 12);
     collector.run(corpus, 0, end, {},
                   [](const CheckpointState&, const Corpus&) {});
@@ -218,39 +204,14 @@ TEST_F(CheckpointTest, CheckpointIntervalDoesNotChangeTheCorpus) {
   expect_identical_corpora(none, odd);
 }
 
-TEST_F(CheckpointTest, FastAndWirePathsAgreeUnderFaultPlan) {
-  // Fault decisions are pure hashes, never RNG draws, so at zero loss the
-  // wire-fidelity path stays in lockstep with the fast path even while
-  // vantages crash and recover around the polls.
-  const util::SimTime end = 2 * util::kDay;
-  const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
-
-  const auto collect_path = [&](bool wire) {
-    CollectorConfig config{wire, 0.0, 3};
-    config.retry_limit = 2;
-    netsim::DataPlane plane(*world_, {0.0, 1});
-    plane.set_faults(&faults);
-    netsim::PoolDns dns(*world_);
-    dns.set_health_monitor(&faults, 15 * util::kMinute);
-    PassiveCollector collector(*world_, plane, dns, config);
-    Corpus corpus(1 << 12);
-    collector.run(corpus, 0, end);
-    return corpus;
-  };
-
-  expect_identical_corpora(collect_path(false), collect_path(true));
-}
-
 TEST_F(CheckpointTest, FaultPlanDegradesVantagesAndRetriesRecover) {
   const util::SimTime end = 4 * util::kDay;
   const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
 
-  CollectorConfig config{false, 0.0, 3};
+  CollectorConfig config{.loss_rate = 0.0, .seed = 3};
   config.retry_limit = 2;
-  netsim::DataPlane plane(*world_, {0.0, 1});
-  plane.set_faults(&faults);
   netsim::PoolDns dns(*world_);
-  PassiveCollector collector(*world_, plane, dns, config);
+  PassiveCollector collector(*world_, dns, &faults, config);
   Corpus corpus(1 << 12);
   collector.run(corpus, 0, end);
 
@@ -407,11 +368,9 @@ TEST_F(CheckpointTest, ThrowingSinkMidResumeHonorsTheContract) {
   const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
 
   const auto with_collector = [&](auto fn) {
-    netsim::DataPlane plane(*world_, {config.loss_rate, 1});
-    plane.set_faults(&faults);
     netsim::PoolDns dns(*world_);
     dns.set_health_monitor(&faults, 15 * util::kMinute);
-    PassiveCollector collector(*world_, plane, dns, config);
+    PassiveCollector collector(*world_, dns, &faults, config);
     fn(collector);
   };
 

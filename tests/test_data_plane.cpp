@@ -4,7 +4,6 @@
 
 #include "proto/icmpv6.h"
 #include "proto/tcp.h"
-#include "proto/udp.h"
 #include "util/rng.h"
 
 namespace v6::netsim {
@@ -139,46 +138,6 @@ TEST_F(DataPlaneTest, LossRateIsRoughlyHonored) {
   EXPECT_NEAR(static_cast<double>(replies) / kProbes, 0.64, 0.05);
 }
 
-TEST_F(DataPlaneTest, UdpServiceRoundTrip) {
-  auto plane = lossless();
-  const auto server = world_->vantages().front().address;
-  plane.bind_udp(server, proto::kNtpPort,
-                 [](const net::Ipv6Address&, std::uint16_t,
-                    const std::vector<std::uint8_t>& payload, util::SimTime)
-                     -> std::optional<std::vector<std::uint8_t>> {
-                   auto echo = payload;
-                   echo.push_back(0x99);
-                   return echo;
-                 });
-  const auto client = world_->device_address(0, 0);
-  const auto response = plane.send_udp(client, 40000, server,
-                                       proto::kNtpPort, {1, 2, 3}, 0);
-  ASSERT_TRUE(response);
-  EXPECT_EQ(response->size(), 4u);
-  EXPECT_EQ(response->back(), 0x99);
-}
-
-TEST_F(DataPlaneTest, UdpToUnboundPortIsSilent) {
-  auto plane = lossless();
-  const auto client = world_->device_address(0, 0);
-  EXPECT_FALSE(plane.send_udp(client, 40000,
-                              world_->vantages().front().address, 9999,
-                              {1}, 0));
-}
-
-TEST_F(DataPlaneTest, UdpServiceMayDecline) {
-  auto plane = lossless();
-  const auto server = world_->vantages().front().address;
-  plane.bind_udp(server, proto::kNtpPort,
-                 [](const net::Ipv6Address&, std::uint16_t,
-                    const std::vector<std::uint8_t>&, util::SimTime)
-                     -> std::optional<std::vector<std::uint8_t>> {
-                   return std::nullopt;
-                 });
-  EXPECT_FALSE(plane.send_udp(world_->device_address(0, 0), 40000, server,
-                              proto::kNtpPort, {1}, 0));
-}
-
 TEST_F(DataPlaneTest, RouterIcmpRateLimiting) {
   const util::SimTime t = 1000;
   const auto d = find_reachable(*world_, t);
@@ -262,33 +221,6 @@ TEST_F(DataPlaneTest, IcmpBudgetSurvivesBackwardProbeTimes) {
     }
   }
   EXPECT_EQ(exceeded, 4);
-}
-
-TEST_F(DataPlaneTest, FaultScheduleSwallowsUdpToCrashedVantage) {
-  auto plane = lossless();
-  const auto& vantage = world_->vantages().front();
-  plane.bind_udp(vantage.address, proto::kNtpPort,
-                 [](const net::Ipv6Address&, std::uint16_t,
-                    const std::vector<std::uint8_t>&, util::SimTime)
-                     -> std::optional<std::vector<std::uint8_t>> {
-                   return std::vector<std::uint8_t>{42};
-                 });
-  FaultSchedule faults(world_->vantages());
-  faults.add_window(vantage.id, 1000, 2000);
-  plane.set_faults(&faults);
-
-  const auto client = world_->device_address(0, 0);
-  EXPECT_TRUE(plane.send_udp(client, 40000, vantage.address, proto::kNtpPort,
-                             {1}, 500));
-  EXPECT_FALSE(plane.send_udp(client, 40000, vantage.address, proto::kNtpPort,
-                              {1}, 1500));
-  EXPECT_EQ(plane.fault_drops(), 1u);
-  EXPECT_TRUE(plane.send_udp(client, 40000, vantage.address, proto::kNtpPort,
-                             {1}, 3000));
-  // Other destinations are never faulted.
-  plane.set_faults(nullptr);
-  EXPECT_TRUE(plane.send_udp(client, 40000, vantage.address, proto::kNtpPort,
-                             {1}, 1500));
 }
 
 TEST_F(DataPlaneTest, AliasRegionsAnswerEcho) {

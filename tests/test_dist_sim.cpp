@@ -48,7 +48,7 @@ std::string corpus_bytes(const hitlist::Corpus& corpus) {
 
 // One Study owns the simulation stack; the reference corpus comes from
 // its (sharded, single-process) collect; every cluster variant runs over
-// the same world/plane/dns.
+// the same world, fault plan and DNS.
 class DistIdentityTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -64,7 +64,7 @@ class DistIdentityTest : public ::testing::Test {
   static DistReport run_cluster(const DistConfig& config,
                                 hitlist::Corpus& out,
                                 netsim::WorkerFaultSchedule* plan = nullptr) {
-    SimCluster cluster(study_->world(), study_->plane(), study_->pool_dns(),
+    SimCluster cluster(study_->world(), study_->faults(), study_->pool_dns(),
                        study_->config().collector, config, plan);
     const util::SimTime start = study_->config().world.study_start;
     return cluster.run(out, start,
@@ -319,16 +319,6 @@ TEST_F(DistIdentityTest, RespawnDisabledFailsLoudlyWhenFleetDies) {
   EXPECT_THROW(run_cluster(config, merged), std::runtime_error);
 }
 
-TEST(DistCluster, WireFidelityIsRejected) {
-  core::StudyConfig config = small_config();
-  core::Study study(config);
-  hitlist::CollectorConfig collector = config.collector;
-  collector.wire_fidelity = true;
-  EXPECT_THROW(SimCluster(study.world(), study.plane(), study.pool_dns(),
-                          collector, DistConfig{}),
-               std::invalid_argument);
-}
-
 // --- Study-level plumbing --------------------------------------------------
 
 TEST(DistStudy, FullPipelineMatchesSingleProcessBitForBit) {
@@ -401,7 +391,7 @@ TEST(DistStudy, IncompatibleKnobsFailLoudly) {
     core::Study study(config);
     core::RunOptions options;
     options.distributed = DistConfig{};
-    options.resume_from = hitlist::CollectionCheckpoint{};
+    options.resume_from = hitlist::CollectionCheckpoint{{}, hitlist::Corpus(1)};
     EXPECT_THROW(study.run(std::move(options)), std::invalid_argument);
   }
   {

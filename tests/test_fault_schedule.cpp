@@ -150,17 +150,6 @@ TEST_F(FaultScheduleTest, SlowStartRampsDeliveryLinearly) {
   }
 }
 
-TEST_F(FaultScheduleTest, DeliversToOnlyFaultsVantageAddresses) {
-  FaultSchedule faults(world_->vantages());
-  const auto& v = world_->vantages().front();
-  faults.add_window(v.id, 0, 1'000'000);
-
-  const auto client = world_->device_address(0, 0);
-  EXPECT_FALSE(faults.delivers_to(v.address, client, 500));
-  // A device address (not a vantage) always delivers, even mid-window.
-  EXPECT_TRUE(faults.delivers_to(client, v.address, 500));
-}
-
 TEST_F(FaultScheduleTest, MarkedDownLagsCrashAndRecovery) {
   FaultSchedule faults(world_->vantages());
   const auto& v = world_->vantages().front();

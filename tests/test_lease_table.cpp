@@ -14,7 +14,6 @@
 
 #include "dist/transport.h"
 #include "dist/worker.h"
-#include "netsim/data_plane.h"
 #include "netsim/pool_dns.h"
 #include "sim/world.h"
 
@@ -148,11 +147,9 @@ TEST(DistWorker, RejectsLeaseGrantsTheLinterRejects) {
   config.total_sites = 20;
   config.study_duration = 2 * util::kDay;
   const sim::World world = sim::World::generate(config);
-  netsim::DataPlane plane(world, {0.0, 1});
   netsim::PoolDns dns(world);
   NodeEnv env;
   env.world = &world;
-  env.plane = &plane;
   env.dns = &dns;
   env.collector.threads = 1;
   env.start = 0;

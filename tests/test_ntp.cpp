@@ -1,69 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "ntp/client_schedule.h"
-#include "ntp/server.h"
-#include "proto/ntp_packet.h"
-#include "proto/udp.h"
 
 namespace v6::ntp {
 namespace {
-
-sim::VantagePoint test_vantage() {
-  sim::VantagePoint v;
-  v.id = 3;
-  v.country = *geo::CountryCode::parse("DE");
-  v.address = *net::Ipv6Address::parse("2a00:5::1");
-  return v;
-}
-
-TEST(NtpServer, AnswersValidClientRequest) {
-  const auto vantage = test_vantage();
-  std::vector<Observation> observations;
-  NtpServer server(vantage, [&](const Observation& o) {
-    observations.push_back(o);
-  });
-
-  const auto client = *net::Ipv6Address::parse("2a00:1:2000::5");
-  const auto request = proto::make_client_request(5000, 0xfeed);
-  const auto response_bytes = server.handle(client, request.encode(), 5000);
-  ASSERT_TRUE(response_bytes);
-
-  const auto response = proto::NtpPacket::decode(*response_bytes);
-  ASSERT_TRUE(response);
-  EXPECT_EQ(response->mode, proto::NtpMode::kServer);
-  EXPECT_EQ(response->stratum, 2);  // stratum-2 vantage servers
-  EXPECT_EQ(response->origin_time, request.transmit_time);
-
-  ASSERT_EQ(observations.size(), 1u);
-  EXPECT_EQ(observations[0].client, client);
-  EXPECT_EQ(observations[0].time, 5000);
-  EXPECT_EQ(observations[0].vantage, 3);
-  EXPECT_EQ(server.requests_served(), 1u);
-}
-
-TEST(NtpServer, IgnoresNonClientModes) {
-  NtpServer server(test_vantage(), {});
-  auto packet = proto::make_client_request(0, 0);
-  packet.mode = proto::NtpMode::kServer;
-  EXPECT_FALSE(server.handle(*net::Ipv6Address::parse("::5"),
-                             packet.encode(), 0));
-  EXPECT_EQ(server.requests_served(), 0u);
-}
-
-TEST(NtpServer, IgnoresGarbagePayload) {
-  NtpServer server(test_vantage(), {});
-  EXPECT_FALSE(
-      server.handle(*net::Ipv6Address::parse("::5"), {1, 2, 3}, 0));
-}
-
-TEST(NtpServer, RecordFeedsSinkDirectly) {
-  int count = 0;
-  NtpServer server(test_vantage(),
-                   [&](const Observation&) { ++count; });
-  server.record(*net::Ipv6Address::parse("::6"), 100);
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(server.requests_served(), 1u);
-}
 
 sim::Device pool_device(util::SimDuration interval, double online) {
   sim::Device dev;

@@ -64,9 +64,9 @@ TEST(Outage, DarkAsAnswersNoProbes) {
 
 TEST(Outage, MonitorDetectsInjectedOutage) {
   const auto world = sim::World::generate(outage_config(1));
-  netsim::DataPlane plane(world, {0.0, 1});
   netsim::PoolDns dns(world);  // full capture for a dense series
-  hitlist::PassiveCollector collector(world, plane, dns, {false, 0.0, 3});
+  hitlist::PassiveCollector collector(world, dns, /*faults=*/nullptr,
+                                      {.loss_rate = 0.0, .seed = 3});
 
   OutageMonitor monitor(world);
   hitlist::Corpus corpus(1 << 14);
@@ -108,9 +108,9 @@ TEST(Outage, MonitorDetectsInjectedOutage) {
 
 TEST(Outage, QuietWorldYieldsNoFalsePositives) {
   const auto world = sim::World::generate(outage_config(0));
-  netsim::DataPlane plane(world, {0.0, 1});
   netsim::PoolDns dns(world);
-  hitlist::PassiveCollector collector(world, plane, dns, {false, 0.0, 3});
+  hitlist::PassiveCollector collector(world, dns, /*faults=*/nullptr,
+                                      {.loss_rate = 0.0, .seed = 3});
 
   OutageMonitor monitor(world);
   hitlist::Corpus corpus(1 << 14);

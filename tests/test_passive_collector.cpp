@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "hitlist/corpus_io.h"
+#include "netsim/fault_schedule.h"
+#include "ntp/client_schedule.h"
+#include "proto/ntp_packet.h"
+#include "proto/udp.h"
+#include "util/rng.h"
 
 namespace v6::hitlist {
 namespace {
@@ -29,9 +35,8 @@ sim::World* PassiveCollectorTest::world_ = nullptr;
 Corpus collect(const sim::World& world, const CollectorConfig& config,
                util::SimTime start, util::SimTime end,
                const ObservationHook& hook = {}) {
-  netsim::DataPlane plane(world, {config.loss_rate, 1});
   netsim::PoolDns dns(world);
-  PassiveCollector collector(world, plane, dns, config);
+  PassiveCollector collector(world, dns, /*faults=*/nullptr, config);
   Corpus corpus(1 << 12);
   collector.run(corpus, start, end, hook);
   return corpus;
@@ -52,36 +57,24 @@ void expect_identical_corpora(const Corpus& a, const Corpus& b) {
 
 TEST_F(PassiveCollectorTest, CollectsObservations) {
   const auto corpus =
-      collect(*world_, {false, 0.0, 3}, 0, 7 * util::kDay);
+      collect(*world_, {.loss_rate = 0.0, .seed = 3}, 0, 7 * util::kDay);
   EXPECT_GT(corpus.size(), 1000u);
   EXPECT_GE(corpus.total_observations(), corpus.size());
-}
-
-TEST_F(PassiveCollectorTest, FastAndWirePathsAreBitIdenticalAtZeroLoss) {
-  // With loss disabled the two execution paths consume identical RNG
-  // streams (two draws per poll attempt), so not just the address set but
-  // every record field must agree.
-  const auto fast =
-      collect(*world_, {false, 0.0, 3}, 0, 3 * util::kDay);
-  const auto wire =
-      collect(*world_, {true, 0.0, 3}, 0, 3 * util::kDay);
-  expect_identical_corpora(fast, wire);
 }
 
 TEST_F(PassiveCollectorTest, RetriesRecoverPollsLostToTransit) {
   // RFC 5905-style persistence: at heavy loss a client that re-sends
   // unanswered polls hears back strictly more often than a fire-once one,
   // and at zero loss retries change nothing.
-  CollectorConfig fire_once{false, 0.4, 3};
+  CollectorConfig fire_once{.loss_rate = 0.4, .seed = 3};
   CollectorConfig persistent = fire_once;
   persistent.retry_limit = 3;
 
-  netsim::DataPlane plane(*world_, {0.4, 1});
   netsim::PoolDns dns(*world_);
-  PassiveCollector once(*world_, plane, dns, fire_once);
+  PassiveCollector once(*world_, dns, /*faults=*/nullptr, fire_once);
   Corpus once_corpus(1 << 12);
   once.run(once_corpus, 0, 2 * util::kDay);
-  PassiveCollector retrying(*world_, plane, dns, persistent);
+  PassiveCollector retrying(*world_, dns, /*faults=*/nullptr, persistent);
   Corpus retry_corpus(1 << 12);
   retrying.run(retry_corpus, 0, 2 * util::kDay);
 
@@ -93,30 +86,19 @@ TEST_F(PassiveCollectorTest, RetriesRecoverPollsLostToTransit) {
   EXPECT_GT(retry_corpus.total_observations(),
             once_corpus.total_observations());
 
-  CollectorConfig lossless_retry{false, 0.0, 3};
+  CollectorConfig lossless_retry{.loss_rate = 0.0, .seed = 3};
   lossless_retry.retry_limit = 3;
   const auto with = collect(*world_, lossless_retry, 0, util::kDay);
-  const auto without = collect(*world_, {false, 0.0, 3}, 0, util::kDay);
+  const auto without =
+      collect(*world_, {.loss_rate = 0.0, .seed = 3}, 0, util::kDay);
   expect_identical_corpora(with, without);
-}
-
-TEST_F(PassiveCollectorTest, WirePathValidatesServerResponses) {
-  netsim::DataPlane plane(*world_, {0.0, 1});
-  netsim::PoolDns dns(*world_);
-  PassiveCollector collector(*world_, plane, dns, {true, 0.0, 3});
-  Corpus corpus(1 << 12);
-  collector.run(corpus, 0, util::kDay);
-  EXPECT_GT(collector.polls_attempted(), 0u);
-  // Lossless wire path: every poll that reached a server got a valid,
-  // origin-matching answer.
-  EXPECT_EQ(collector.polls_answered(), collector.polls_attempted());
 }
 
 TEST_F(PassiveCollectorTest, LossReducesObservations) {
   const auto lossless =
-      collect(*world_, {false, 0.0, 3}, 0, 3 * util::kDay);
+      collect(*world_, {.loss_rate = 0.0, .seed = 3}, 0, 3 * util::kDay);
   const auto lossy =
-      collect(*world_, {false, 0.3, 3}, 0, 3 * util::kDay);
+      collect(*world_, {.loss_rate = 0.3, .seed = 3}, 0, 3 * util::kDay);
   EXPECT_LT(lossy.total_observations(),
             lossless.total_observations() * 0.8);
 }
@@ -125,7 +107,7 @@ TEST_F(PassiveCollectorTest, HookSeesEveryObservation) {
   std::uint64_t hook_calls = 0;
   std::set<std::uint8_t> vantages;
   const auto corpus = collect(
-      *world_, {false, 0.0, 3}, 0, 2 * util::kDay,
+      *world_, {.loss_rate = 0.0, .seed = 3}, 0, 2 * util::kDay,
       [&](const ntp::Observation& obs, const net::Ipv6Address& vantage) {
         ++hook_calls;
         vantages.insert(obs.vantage);
@@ -137,13 +119,13 @@ TEST_F(PassiveCollectorTest, HookSeesEveryObservation) {
 
 TEST_F(PassiveCollectorTest, OnlyPoolDevicesAppear) {
   const auto corpus =
-      collect(*world_, {false, 0.0, 3}, 0, 2 * util::kDay);
+      collect(*world_, {.loss_rate = 0.0, .seed = 3}, 0, 2 * util::kDay);
   // Every observed address must resolve to a pool-using device (or be an
   // ephemeral address of one at observation time). Spot-check via count:
   // non-pool devices never enter the schedule, so polls == observations.
-  netsim::DataPlane plane(*world_, {0.0, 1});
   netsim::PoolDns dns(*world_);
-  PassiveCollector collector(*world_, plane, dns, {false, 0.0, 3});
+  PassiveCollector collector(*world_, dns, /*faults=*/nullptr,
+                             {.loss_rate = 0.0, .seed = 3});
   Corpus again(1 << 12);
   collector.run(again, 0, 2 * util::kDay);
   EXPECT_EQ(collector.polls_attempted(), again.total_observations());
@@ -152,7 +134,8 @@ TEST_F(PassiveCollectorTest, OnlyPoolDevicesAppear) {
 TEST_F(PassiveCollectorTest, BurstsYieldMultipleSightingsPerSync) {
   // Find a bursting pool device and verify its address records carry
   // multiple observations seconds apart.
-  const auto corpus = collect(*world_, {false, 0.0, 3}, 0, util::kDay);
+  const auto corpus =
+      collect(*world_, {.loss_rate = 0.0, .seed = 3}, 0, util::kDay);
   bool found_burst_record = false;
   for (const auto& rec : corpus.records()) {
     if (rec.count >= 4 && rec.lifetime() <= 30) found_burst_record = true;
@@ -163,9 +146,9 @@ TEST_F(PassiveCollectorTest, BurstsYieldMultipleSightingsPerSync) {
 }
 
 TEST_F(PassiveCollectorTest, PollCountsCountBurstPackets) {
-  netsim::DataPlane plane(*world_, {0.0, 1});
   netsim::PoolDns dns(*world_);
-  PassiveCollector collector(*world_, plane, dns, {false, 0.0, 3});
+  PassiveCollector collector(*world_, dns, /*faults=*/nullptr,
+                             {.loss_rate = 0.0, .seed = 3});
   Corpus corpus(1 << 12);
   collector.run(corpus, 0, util::kDay);
   // Bursting devices send several packets per sync, so attempted polls
@@ -178,7 +161,7 @@ TEST_F(PassiveCollectorTest, ShardedCollectionIsBitIdenticalToSerial) {
   // exact legacy threads=1 path — same size, total_observations, and
   // per-record fields — because per-device streams are order-independent
   // and Corpus aggregates are commutative.
-  CollectorConfig serial{false, 0.01, 3};
+  CollectorConfig serial{.loss_rate = 0.01, .seed = 3};
   serial.threads = 1;
   const auto base = collect(*world_, serial, 0, 5 * util::kDay);
   for (const unsigned threads : {2u, 4u, 7u}) {
@@ -192,16 +175,15 @@ TEST_F(PassiveCollectorTest, ShardedCollectionIsBitIdenticalToSerial) {
 }
 
 TEST_F(PassiveCollectorTest, ShardedCountersSumToSerialCounters) {
-  netsim::DataPlane plane(*world_, {0.01, 1});
   netsim::PoolDns dns(*world_);
-  CollectorConfig config{false, 0.01, 3};
+  CollectorConfig config{.loss_rate = 0.01, .seed = 3};
   config.threads = 1;
-  PassiveCollector serial(*world_, plane, dns, config);
+  PassiveCollector serial(*world_, dns, /*faults=*/nullptr, config);
   Corpus serial_corpus(1 << 12);
   serial.run(serial_corpus, 0, 4 * util::kDay);
 
   config.threads = 4;
-  PassiveCollector sharded(*world_, plane, dns, config);
+  PassiveCollector sharded(*world_, dns, /*faults=*/nullptr, config);
   Corpus sharded_corpus(1 << 12);
   sharded.run(sharded_corpus, 0, 4 * util::kDay);
 
@@ -213,7 +195,7 @@ TEST_F(PassiveCollectorTest, ShardedHookDeliveryIsSerializedAndComplete) {
   // Hooks under threads>1 are serialized by the collector, so an
   // unsynchronized hook body must still see every observation exactly
   // once (the count matches the corpus total).
-  CollectorConfig config{false, 0.0, 3};
+  CollectorConfig config{.loss_rate = 0.0, .seed = 3};
   config.threads = 4;
   std::uint64_t hook_calls = 0;
   std::set<std::uint8_t> vantages;
@@ -228,29 +210,19 @@ TEST_F(PassiveCollectorTest, ShardedHookDeliveryIsSerializedAndComplete) {
   EXPECT_GT(vantages.size(), 10u);
 }
 
-TEST_F(PassiveCollectorTest, WireFidelityStaysSerialUnderThreadKnob) {
-  // The wire path mutates the shared DataPlane per poll, so the threads
-  // knob must not shard it; threads=8 and threads=1 run the same serial
-  // code and produce identical corpora.
-  CollectorConfig one{true, 0.0, 3};
-  one.threads = 1;
-  CollectorConfig eight = one;
-  eight.threads = 8;
-  const auto a = collect(*world_, one, 0, util::kDay);
-  const auto b = collect(*world_, eight, 0, util::kDay);
-  expect_identical_corpora(a, b);
-}
-
 TEST_F(PassiveCollectorTest, DeterministicAcrossRuns) {
-  const auto a = collect(*world_, {false, 0.01, 3}, 0, 2 * util::kDay);
-  const auto b = collect(*world_, {false, 0.01, 3}, 0, 2 * util::kDay);
+  const auto a =
+      collect(*world_, {.loss_rate = 0.01, .seed = 3}, 0, 2 * util::kDay);
+  const auto b =
+      collect(*world_, {.loss_rate = 0.01, .seed = 3}, 0, 2 * util::kDay);
   EXPECT_EQ(a.size(), b.size());
   EXPECT_EQ(a.total_observations(), b.total_observations());
 }
 
 TEST_F(PassiveCollectorTest, WindowBoundsRespected) {
   const auto corpus =
-      collect(*world_, {false, 0.0, 3}, util::kDay, 2 * util::kDay);
+      collect(*world_, {.loss_rate = 0.0, .seed = 3}, util::kDay,
+              2 * util::kDay);
   for (const auto& rec : corpus.records()) {
     EXPECT_GE(rec.first_seen, static_cast<std::uint32_t>(util::kDay));
     EXPECT_LT(rec.last_seen, static_cast<std::uint32_t>(2 * util::kDay));
@@ -276,9 +248,8 @@ void expect_device_parts_reassemble(const sim::World& world,
   const util::SimTime start = 0;
   const util::SimTime end = 5 * util::kDay;
   const auto run = [&](const CollectorConfig& cfg, Corpus& out) {
-    netsim::DataPlane plane(world, {cfg.loss_rate, 1});
     netsim::PoolDns dns(world);
-    PassiveCollector collector(world, plane, dns, cfg);
+    PassiveCollector collector(world, dns, /*faults=*/nullptr, cfg);
     collector.run(out, start, end);
     return collector;
   };
@@ -330,6 +301,137 @@ TEST(PassiveCollectorParts, MorePartsThanDevicesLeavesEmptyPartsHarmless) {
   ASSERT_GT(tiny.devices().size(), 0u);
   expect_device_parts_reassemble(
       tiny, static_cast<std::uint32_t>(tiny.devices().size()) + 3);
+}
+
+// --- NTP wire reference ----------------------------------------------------
+//
+// The collector decides every poll attempt from values. This reference runs
+// the same polls as bytes through the proto:: codecs, the way the client
+// and server stacks would: the RFC 5905 client request travels as a
+// checksummed UDP datagram to port 123, the fault plan decides whether the
+// server gets it, the server decodes the request, checks its mode, logs the
+// source address and answers, and the answer travels back for the client
+// to check (server mode, origin echoing its transmit time). Lossless. Each
+// attempt's two device-stream draws become the request's nonce and the
+// client's ephemeral source port.
+
+// One poll attempt as bytes. Calls `log` when the server serves the
+// request; returns whether the client accepted an answer.
+template <typename Log>
+bool wire_poll(const sim::VantagePoint& vantage,
+               const net::Ipv6Address& client, util::SimTime t,
+               std::uint64_t r1, std::uint64_t r2,
+               const netsim::FaultSchedule& faults, Log&& log) {
+  const proto::NtpPacket request =
+      proto::make_client_request(t, static_cast<std::uint32_t>(r1));
+  const auto src_port = static_cast<std::uint16_t>(49152 + (r2 >> 50));
+  const auto wire = proto::encode_udp(
+      {src_port, proto::kNtpPort, request.encode()}, client, vantage.address);
+
+  // Server side.
+  const auto datagram = proto::decode_udp(wire, client, vantage.address);
+  if (!datagram || datagram->dst_port != proto::kNtpPort) return false;
+  if (!faults.delivers(vantage.id, client, t)) return false;
+  const auto received = proto::NtpPacket::decode(datagram->payload);
+  if (!received || received->mode != proto::NtpMode::kClient) return false;
+  log(client, t);
+  const auto response = proto::make_server_response(
+      *received, t, /*stratum=*/2, 0x56500000u | vantage.id);
+  const auto back = proto::encode_udp(
+      {proto::kNtpPort, datagram->src_port, response.encode()},
+      vantage.address, client);
+
+  // Client side.
+  const auto reply = proto::decode_udp(back, vantage.address, client);
+  if (!reply || reply->dst_port != src_port) return false;
+  const auto answer = proto::NtpPacket::decode(reply->payload);
+  return answer && answer->mode == proto::NtpMode::kServer &&
+         answer->origin_time == request.transmit_time;
+}
+
+struct WireCollection {
+  Corpus corpus{1 << 12};
+  std::uint64_t answered = 0;
+};
+
+// The collector's enumeration, serial and device by device: each device's
+// seeded stream and poll schedule, the pool's capture and steering draws,
+// bursts and retries — with every attempt sent through wire_poll. The
+// test world has no AS outages, so the collector's outage gate never
+// fires and the reference leaves it out.
+WireCollection wire_collect(const sim::World& world,
+                            const netsim::PoolDns& dns,
+                            const netsim::FaultSchedule& faults,
+                            const CollectorConfig& config,
+                            util::SimTime start, util::SimTime end) {
+  WireCollection out;
+  for (const sim::Device& dev : world.devices()) {
+    if (!dev.ntp.uses_pool) continue;
+    util::Rng rng(
+        util::mix64(config.seed ^ 0xc0111ec7 ^ util::mix64(dev.seed)));
+    ntp::ClientSchedule(dev, start, end).for_each([&](util::SimTime t) {
+      if (!dns.captured(rng)) return;
+      const net::Ipv6Address client = world.device_address(dev.id, t);
+      const sim::VantagePoint* vantage = dns.resolve(client, rng, t);
+      const auto log = [&](const net::Ipv6Address& from, util::SimTime when) {
+        out.corpus.add(from, when, vantage->id);
+      };
+      for (std::uint8_t k = 0; k < std::max<std::uint8_t>(dev.ntp.burst, 1);
+           ++k) {
+        for (std::uint32_t attempt = 0; attempt <= config.retry_limit;
+             ++attempt) {
+          const util::SimTime tj =
+              t + 2 * k +
+              config.retry_backoff *
+                  ((util::SimDuration{1} << attempt) - 1);
+          if (tj >= end) break;
+          const std::uint64_t r1 = rng.next();
+          const std::uint64_t r2 = rng.next();
+          if (wire_poll(*vantage, client, tj, r1, r2, faults, log)) {
+            ++out.answered;
+            break;
+          }
+        }
+      }
+    });
+  }
+  return out;
+}
+
+TEST_F(PassiveCollectorTest, ValueDecidedPollsMatchTheNtpWireReference) {
+  const util::SimTime end = 3 * util::kDay;
+  netsim::FaultPlanConfig plan;
+  plan.seed = 5;
+  plan.outages_per_vantage = 1.5;
+  plan.mean_outage = 8 * util::kHour;
+  plan.min_outage = util::kHour;
+  plan.flaps_per_vantage = 2.0;
+  const netsim::FaultSchedule faults(world_->vantages(), plan, 0, end);
+  netsim::PoolDns dns(*world_);
+  dns.set_health_monitor(&faults, 15 * util::kMinute);
+
+  ASSERT_EQ(world_->config().outage_count, 0u);
+  CollectorConfig config{.loss_rate = 0.0, .seed = 3};
+  config.retry_limit = 2;
+  config.threads = 3;
+  PassiveCollector collector(*world_, dns, &faults, config);
+  Corpus corpus(1 << 12);
+  collector.run(corpus, 0, end);
+  const WireCollection wire =
+      wire_collect(*world_, dns, faults, config, 0, end);
+
+  expect_identical_corpora(corpus, wire.corpus);
+  EXPECT_EQ(collector.polls_answered(), wire.answered);
+  // The fault plan swallowed polls and clients re-sent them, so the
+  // comparison covered faulted attempts and retries, not just clean polls.
+  std::uint64_t faulted = 0, retries = 0;
+  for (const VantageHealthStats& vh : collector.vantage_health()) {
+    faulted += vh.lost_to_fault;
+    retries += vh.retries;
+  }
+  EXPECT_GT(faulted, 0u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_LT(collector.polls_answered(), collector.polls_attempted());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "proto/buffer.h"
-#include "proto/checksum.h"
+#include "proto/internet_checksum.h"
 #include "proto/icmpv6.h"
 #include "proto/ipv6_header.h"
 #include "proto/ntp_packet.h"
