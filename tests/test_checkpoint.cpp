@@ -16,6 +16,7 @@
 #include "hitlist/tiered_corpus.h"
 #include "netsim/fault_schedule.h"
 #include "ntp/client_schedule.h"
+#include "ntp_wire_reference.h"
 #include "sim/world.h"
 
 namespace v6::hitlist {
@@ -202,6 +203,40 @@ TEST_F(CheckpointTest, CheckpointIntervalDoesNotChangeTheCorpus) {
   const auto odd = run_with_interval(7777);
   expect_identical_corpora(none, hourly);
   expect_identical_corpora(none, odd);
+}
+
+TEST_F(CheckpointTest, FastAndWirePathsAgreeUnderFaultPlan) {
+  // Fault decisions are pure hashes, never RNG draws, so at zero loss the
+  // value-decided collector stays in lockstep with the packet round trip
+  // of ntp_wire_reference.h even while vantages crash and recover around
+  // the polls, clients retry and the pool steers away from down vantages.
+  ASSERT_EQ(world_->config().outage_count, 0u);
+  const util::SimTime end = 2 * util::kDay;
+  const netsim::FaultSchedule faults(world_->vantages(), busy_plan(), 0, end);
+  netsim::PoolDns dns(*world_);
+  dns.set_health_monitor(&faults, 15 * util::kMinute);
+
+  CollectorConfig config{.loss_rate = 0.0, .seed = 3};
+  config.retry_limit = 2;
+  config.threads = 3;
+  PassiveCollector collector(*world_, dns, &faults, config);
+  Corpus corpus(1 << 12);
+  collector.run(corpus, 0, end);
+  const auto wire =
+      wire_reference::wire_collect(*world_, dns, &faults, config, 0, end);
+
+  expect_identical_corpora(corpus, wire.corpus);
+  EXPECT_EQ(collector.polls_answered(), wire.answered);
+  // The fault plan swallowed polls and clients re-sent them, so the
+  // comparison covered faulted attempts and retries, not just clean polls.
+  std::uint64_t faulted = 0, retries = 0;
+  for (const VantageHealthStats& vh : collector.vantage_health()) {
+    faulted += vh.lost_to_fault;
+    retries += vh.retries;
+  }
+  EXPECT_GT(faulted, 0u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_LT(collector.polls_answered(), collector.polls_attempted());
 }
 
 TEST_F(CheckpointTest, FaultPlanDegradesVantagesAndRetriesRecover) {

