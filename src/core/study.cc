@@ -91,41 +91,21 @@ void set_vantage_gauges(obs::Registry& registry,
 
 }  // namespace
 
-void Study::do_collect(const hitlist::CheckpointSink& sink) {
+void Study::do_collect(hitlist::CollectionCheckpoint&& from,
+                       const hitlist::CheckpointSink& sink) {
   hitlist::PassiveCollector collector(*world_, *dns_, faults_.get(),
                                       collector_config());
-  const util::SimTime start = config_.world.study_start;
-  const util::SimTime end = start + config_.world.study_duration;
+  results_.ntp = std::move(from.corpus);
   if (config_.spill.active()) {
-    // Out-of-core: shard tables flush to sorted runs at merge barriers;
-    // the merged stream is what every later stage reads.
+    // Out-of-core: shard tables flush to sorted runs at merge barriers
+    // (a non-empty snapshot becomes the first run); the merged stream is
+    // what every later stage reads.
     results_.ntp_runs = std::make_unique<hitlist::TieredCorpus>(
         config_.spill, config_.metrics ? metrics_.get() : nullptr);
-    collector.run(*results_.ntp_runs, start, end, {}, sink);
+    collector.resume(*results_.ntp_runs, std::move(results_.ntp), from.state,
+                     {}, sink);
   } else {
-    collector.run(results_.ntp, start, end, {}, sink);
-  }
-  results_.polls_attempted = collector.polls_attempted();
-  results_.polls_answered = collector.polls_answered();
-  results_.vantage_health = collector.vantage_health();
-  if (config_.metrics) set_vantage_gauges(*metrics_, results_.vantage_health);
-}
-
-void Study::do_resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
-                              const hitlist::CheckpointSink& sink) {
-  hitlist::PassiveCollector collector(*world_, *dns_, faults_.get(),
-                                      collector_config());
-  if (config_.spill.active()) {
-    // Resume honors the memory budget: the checkpointed snapshot becomes
-    // the TieredCorpus's first spilled run and the resumed tail flushes
-    // through the same deterministic barriers as a fresh spilled run.
-    results_.ntp_runs = std::make_unique<hitlist::TieredCorpus>(
-        config_.spill, config_.metrics ? metrics_.get() : nullptr);
-    collector.resume(*results_.ntp_runs, std::move(checkpoint.corpus),
-                     checkpoint.state, {}, sink);
-  } else {
-    results_.ntp = std::move(checkpoint.corpus);
-    collector.resume(results_.ntp, checkpoint.state, {}, sink);
+    collector.resume(results_.ntp, from.state, {}, sink);
   }
   results_.polls_attempted = collector.polls_attempted();
   results_.polls_answered = collector.polls_answered();
@@ -424,11 +404,16 @@ const StudyResults& Study::run(RunOptions options) {
     const auto span = tracer.begin_span("study.collect", study_start);
     if (options.distributed) {
       do_collect_distributed(*options.distributed);
-    } else if (options.resume_from) {
-      do_resume_collect(std::move(*options.resume_from),
-                        options.checkpoint_sink);
     } else {
-      do_collect(options.checkpoint_sink);
+      // A fresh run is a resume from an empty snapshot at the window
+      // start: the still-empty, pre-sized results table itself, so no
+      // second table is allocated.
+      do_collect(options.resume_from
+                     ? std::move(*options.resume_from)
+                     : hitlist::CollectionCheckpoint{
+                           {study_start, study_end, study_start, 0, 0, {}},
+                           std::move(results_.ntp)},
+                 options.checkpoint_sink);
     }
     if (serving) {
       // The window-end epoch: every serving run that collected publishes

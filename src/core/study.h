@@ -271,10 +271,12 @@ class Study {
   }
 
  private:
-  void do_collect(const hitlist::CheckpointSink& sink);
+  // Collects from `from` (a checkpoint, or an empty snapshot at the
+  // window start for a fresh run) to the window end, in memory or out of
+  // core per StudyConfig::spill.
+  void do_collect(hitlist::CollectionCheckpoint&& from,
+                  const hitlist::CheckpointSink& sink);
   void do_collect_distributed(const dist::DistConfig& dist_config);
-  void do_resume_collect(hitlist::CollectionCheckpoint&& checkpoint,
-                         const hitlist::CheckpointSink& sink);
   void do_campaigns();
   void do_backscan();
   void do_analysis();

@@ -1,13 +1,13 @@
 #include "hitlist/checkpoint_io.h"
 
-#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "hitlist/corpus_io.h"
 #include "proto/buffer.h"
@@ -16,15 +16,20 @@
 namespace v6::hitlist {
 
 namespace {
-constexpr char kMagic[8] = {'V', '6', 'C', 'K', 'P', 'T', '0', '1'};
+
+constexpr std::array<std::uint8_t, 8> kMagic = {'V', '6', 'C', 'K',
+                                                'P', 'T', '0', '1'};
+// The state section's fixed fields (five u64 and the u32 vantage count)
+// and one vantage entry (five u64).
+constexpr std::size_t kStateFixedBytes = 5 * 8 + 4;
+constexpr std::size_t kVantageBytes = 5 * 8;
+
 }  // namespace
 
 std::size_t save_checkpoint(std::ostream& out, const CheckpointState& state,
                             const Corpus& corpus) {
   proto::BufferWriter writer;
-  writer.bytes(
-      std::span(reinterpret_cast<const std::uint8_t*>(kMagic), 8));
-  const std::size_t state_begin = writer.size();
+  writer.bytes(kMagic);
   writer.u64(static_cast<std::uint64_t>(state.window_start));
   writer.u64(static_cast<std::uint64_t>(state.window_end));
   writer.u64(static_cast<std::uint64_t>(state.resume_from));
@@ -38,28 +43,33 @@ std::size_t save_checkpoint(std::ostream& out, const CheckpointState& state,
     writer.u64(vh.retries);
     writer.u64(vh.steered_polls);
   }
-  writer.u32(proto::crc32(
-      std::span(writer.data()).subspan(state_begin)));
-  save_corpus(writer, corpus);
-
+  writer.u32(proto::crc32(std::span(writer.data()).subspan(kMagic.size())));
   out.write(reinterpret_cast<const char*>(writer.data().data()),
             static_cast<std::streamsize>(writer.size()));
   if (!out) throw std::runtime_error("checkpoint write failed");
-  return writer.size();
+  // The embedded snapshot streams through the corpus codec in bounded
+  // chunks; the corpus is never serialized whole in memory.
+  return writer.size() + save_corpus(out, corpus);
 }
 
 CollectionCheckpoint load_checkpoint(std::istream& in) {
-  const std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  proto::BufferReader reader(bytes);
+  const auto read_exact = [&in](std::span<std::uint8_t> dst) {
+    in.read(reinterpret_cast<char*>(dst.data()),
+            static_cast<std::streamsize>(dst.size()));
+    return static_cast<std::size_t>(in.gcount()) == dst.size();
+  };
 
-  std::uint8_t magic[8];
-  reader.bytes(magic);
-  if (reader.truncated() ||
-      !std::equal(std::begin(magic), std::end(magic), kMagic)) {
+  std::array<std::uint8_t, 8> magic{};
+  if (!read_exact(magic) || magic != kMagic) {
     throw std::runtime_error("checkpoint: bad magic");
   }
 
+  std::array<std::uint8_t, kStateFixedBytes> fixed{};
+  if (!read_exact(fixed)) {
+    throw std::runtime_error("checkpoint: truncated state");
+  }
+  std::uint32_t state_crc = proto::crc32(fixed);
+  proto::BufferReader reader{std::span<const std::uint8_t>(fixed)};
   CheckpointState state;
   state.window_start = static_cast<util::SimTime>(reader.u64());
   state.window_end = static_cast<util::SimTime>(reader.u64());
@@ -67,41 +77,35 @@ CollectionCheckpoint load_checkpoint(std::istream& in) {
   state.polls_attempted = reader.u64();
   state.polls_answered = reader.u64();
   const std::uint32_t vantage_count = reader.u32();
-  if (reader.truncated()) {
+  // The vantage count is untrusted: entries are read one at a time, so
+  // the vector only ever holds entries the stream actually delivered and
+  // a hostile count fails as a truncated state, not as an allocation.
+  for (std::uint32_t v = 0; v < vantage_count; ++v) {
+    std::array<std::uint8_t, kVantageBytes> entry{};
+    if (!read_exact(entry)) {
+      throw std::runtime_error("checkpoint: truncated state");
+    }
+    state_crc = proto::crc32(entry, state_crc);
+    proto::BufferReader entry_reader{std::span<const std::uint8_t>(entry)};
+    VantageHealthStats& vh = state.vantage_health.emplace_back();
+    vh.polls = entry_reader.u64();
+    vh.answered = entry_reader.u64();
+    vh.lost_to_fault = entry_reader.u64();
+    vh.retries = entry_reader.u64();
+    vh.steered_polls = entry_reader.u64();
+  }
+  std::array<std::uint8_t, 4> crc_bytes{};
+  if (!read_exact(crc_bytes)) {
     throw std::runtime_error("checkpoint: truncated state");
   }
-  // Untrusted count sizes the vector below: the section must actually
-  // hold 40 bytes per vantage plus the 4-byte CRC.
-  constexpr std::uint64_t kVantageBytes = 40;
-  if (reader.remaining() < 4 ||
-      vantage_count > (reader.remaining() - 4) / kVantageBytes) {
-    throw std::runtime_error(
-        "checkpoint: vantage count disagrees with payload size");
-  }
-  state.vantage_health.resize(vantage_count);
-  for (VantageHealthStats& vh : state.vantage_health) {
-    vh.polls = reader.u64();
-    vh.answered = reader.u64();
-    vh.lost_to_fault = reader.u64();
-    vh.retries = reader.u64();
-    vh.steered_polls = reader.u64();
-  }
-  const std::size_t state_end = bytes.size() - reader.remaining();
-  const std::uint32_t state_crc = reader.u32();
-  if (reader.truncated()) {
-    throw std::runtime_error("checkpoint: truncated state");
-  }
-  if (state_crc !=
-      proto::crc32(std::span(bytes).subspan(8, state_end - 8))) {
+  if (proto::BufferReader{std::span<const std::uint8_t>(crc_bytes)}.u32() !=
+      state_crc) {
     throw std::runtime_error("checkpoint: state CRC mismatch");
   }
 
-  // The embedded corpus is the rest of the file; corpus_io enforces its
-  // own CRCs and rejects trailing garbage.
-  CollectionCheckpoint checkpoint{
-      std::move(state),
-      load_corpus(std::span(bytes).subspan(state_end + 4))};
-  return checkpoint;
+  // The embedded corpus is the rest of the stream; corpus_io enforces its
+  // own CRCs and rejects trailing bytes.
+  return CollectionCheckpoint{std::move(state), load_corpus(in)};
 }
 
 std::size_t save_checkpoint_file(const std::string& path,

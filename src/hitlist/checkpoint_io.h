@@ -12,9 +12,12 @@
 //   state CRC32                  u32 over the state section
 //   corpus snapshot              corpus_io v2 (self-checksummed)
 //
-// Like corpus_io, every integer is big-endian via proto::BufferWriter and
-// each section carries a CRC32 so a corrupted file fails loudly at load
-// time instead of resuming from garbage.
+// Every integer is big-endian and each section carries a CRC32, so a
+// corrupted file fails loudly at load time instead of resuming from
+// garbage. Both directions stream: the state section is a few hundred
+// bytes, and the snapshot goes through corpus_io's chunked writer and
+// loader, so neither a save nor a load holds the serialized corpus in
+// memory.
 #pragma once
 
 #include <iosfwd>
@@ -35,8 +38,10 @@ struct CollectionCheckpoint {
 std::size_t save_checkpoint(std::ostream& out, const CheckpointState& state,
                             const Corpus& corpus);
 
-// Loads a checkpoint. Throws std::runtime_error on bad magic, truncation,
-// or CRC mismatch in either section.
+// Loads a checkpoint that must end the stream. The state section is read
+// one vantage entry at a time, so an untrusted vantage count never sizes
+// an allocation. Throws std::runtime_error on bad magic, truncation, CRC
+// mismatch in either section, or trailing bytes.
 CollectionCheckpoint load_checkpoint(std::istream& in);
 
 // Durable-file variants for the distributed layer: the checkpoint is

@@ -154,11 +154,7 @@ void Corpus::merge_record_hashed(const AddressRecord& incoming,
     *slot = static_cast<std::uint32_t>(records_.size());
     records_.push_back(incoming);
   } else {
-    AddressRecord& rec = records_[*slot];
-    rec.first_seen = std::min(rec.first_seen, incoming.first_seen);
-    rec.last_seen = std::max(rec.last_seen, incoming.last_seen);
-    rec.count += incoming.count;
-    rec.vantage_mask |= incoming.vantage_mask;
+    fold_record(records_[*slot], incoming);
   }
 }
 

@@ -15,6 +15,7 @@
 // records in the identical order — the bit-identity contract.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,6 +40,19 @@ struct AddressRecord {
     return static_cast<util::SimDuration>(last_seen) - first_seen;
   }
 };
+
+// Folds `from` into `into`, two aggregates of the same address: min
+// first_seen, max last_seen, count summed (wrapping at u32 like +=),
+// vantage masks OR'd. The one aggregation rule: Corpus::add_record and
+// the k-way merge over spilled runs (merge_record_streams) both fold
+// through it, which is what keeps the two backends field-for-field equal.
+inline void fold_record(AddressRecord& into,
+                        const AddressRecord& from) noexcept {
+  into.first_seen = std::min(into.first_seen, from.first_seen);
+  into.last_seen = std::max(into.last_seen, from.last_seen);
+  into.count += from.count;
+  into.vantage_mask |= from.vantage_mask;
+}
 
 class Corpus {
  public:

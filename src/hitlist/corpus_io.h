@@ -1,9 +1,9 @@
 // Corpus serialization: a compact, versioned binary snapshot so studies
 // can be collected once and analyzed many times (or shipped between
-// machines). Format v2 (written by save_corpus):
+// machines). Format v2, the only one:
 //
 //   magic "V6CORP02"            8 bytes
-//   record count                u64 LE-free (big-endian like the wire)
+//   record count                u64 (big-endian like the wire)
 //   total observations          u64
 //   header CRC32                u32 over the two u64 header fields
 //   records: address(16) first_seen(4) last_seen(4) count(4) vantages(4)
@@ -11,30 +11,25 @@
 //
 // The per-section CRC32s (IEEE, see proto::crc32) catch bit rot in
 // long-lived checkpoint files, where a flipped count would otherwise load
-// as a silently wrong corpus. Format v1 ("V6CORP01", no CRCs) is still
-// readable.
+// as a silently wrong corpus.
 //
-// Everything goes through proto::BufferWriter/Reader, so byte order and
-// truncation handling match the rest of the codebase.
+// One writer (CorpusSnapshotWriter, with save_corpus() on top) and one
+// reader (load_corpus()), both streaming in bounded chunks: every saver —
+// Study, the out-of-core engine, the checkpoint codec — goes through them.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <vector>
 
 #include "hitlist/corpus.h"
 
-namespace v6::proto {
-class BufferWriter;
-}  // namespace v6::proto
-
 namespace v6::hitlist {
 
 // Streams a v2 snapshot record-by-record, so writers that cannot (or must
-// not) materialize the whole corpus — the out-of-core engine's save(), the
-// chunked save_corpus() — produce bytes identical to the one-shot path.
-// The records CRC is chained across flush chunks (proto::crc32's seed
+// not) materialize the whole corpus — the out-of-core engine's save() —
+// produce the same bytes as save_corpus() of the equivalent corpus. The
+// records CRC is chained across flush chunks (proto::crc32's seed
 // parameter), which is exactly the whole-section CRC of the v2 format.
 //
 // The record and observation totals live in the header, which is written
@@ -73,20 +68,14 @@ class CorpusSnapshotWriter {
 // serialized corpus.
 std::size_t save_corpus(std::ostream& out, const Corpus& corpus);
 
-// Appends a v2 snapshot to an existing writer (used to embed the corpus
-// inside a collection checkpoint).
-void save_corpus(proto::BufferWriter& out, const Corpus& corpus);
-
-// Loads a snapshot (v1 or v2), reading the stream in bounded chunks —
-// peak memory is the corpus itself plus one chunk, whatever the file
-// size. Throws std::runtime_error on bad magic, truncation, CRC mismatch,
-// an observation total that overflows u64, or trailing garbage. Note the
-// streaming tradeoff: the records CRC can only be verified after the
-// records were parsed, so a corrupt file may surface as any of those
-// errors — but never loads.
+// Loads a v2 snapshot, reading the stream in bounded chunks — peak memory
+// is the corpus itself plus one chunk, whatever the file size. The
+// snapshot must end the stream. Throws std::runtime_error on bad magic
+// (any other version included), truncation, CRC mismatch, a zero-count
+// record, an observation total that overflows u64 or disagrees with the
+// header, or trailing bytes. Note the streaming tradeoff: the records CRC can only
+// be verified after the records were parsed, so a corrupt file may
+// surface as any of those errors — but never loads.
 Corpus load_corpus(std::istream& in);
-
-// Same, from an in-memory buffer that must contain exactly one snapshot.
-Corpus load_corpus(std::span<const std::uint8_t> bytes);
 
 }  // namespace v6::hitlist

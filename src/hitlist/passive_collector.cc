@@ -17,6 +17,11 @@ double unit(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+// Sim-time spacing of the spill-check barriers an out-of-core run adds to
+// the checkpoint, sampling and epoch grids, so a run without any of them
+// still spills on a sim-time grid.
+constexpr util::SimDuration kSpillBarrierInterval = util::kDay;
+
 // The i-th re-send goes out backoff * (2^i - 1) seconds after the original
 // packet (RFC 5905-flavoured exponential backoff).
 util::SimDuration backoff_offset(std::uint32_t attempt,
@@ -176,7 +181,8 @@ void PassiveCollector::process_chunk(ShardState& shard,
   }
 }
 
-void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
+void PassiveCollector::collect(Corpus& corpus, TieredCorpus* tiered,
+                               const CheckpointState& from,
                                const ObservationHook& hook,
                                const CheckpointSink& sink) {
   const auto devices = world_->devices();
@@ -245,10 +251,10 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   // one flush, after the final merge — byte-identical to the pre-sampler
   // behavior.
   const std::size_t records_before =
-      tiered_ != nullptr ? static_cast<std::size_t>(tiered_->merged_size())
-                         : corpus.size();
+      tiered != nullptr ? static_cast<std::size_t>(tiered->merged_size())
+                        : corpus.size();
   const std::uint64_t observations_before =
-      tiered_ != nullptr ? tiered_->total_observations() : 0;
+      tiered != nullptr ? tiered->total_observations() : 0;
   std::uint64_t flushed_polls = 0;
   std::uint64_t flushed_answered = 0;
   std::uint64_t flushed_records = 0;
@@ -267,9 +273,8 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     std::uint64_t answered = 0;
     // Spilled observations live in the run headers, not the shard tables.
     std::uint64_t observations =
-        tiered_ != nullptr
-            ? tiered_->total_observations() - observations_before
-            : 0;
+        tiered != nullptr ? tiered->total_observations() - observations_before
+                          : 0;
     std::vector<VantageHealthStats> vh(vantages.size());
     std::vector<std::uint64_t> v_obs(vantages.size(), 0);
     for (const ShardState& shard : states) {
@@ -308,11 +313,11 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     Corpus scratch(std::max<std::size_t>(upper, 1));
     scratch.merge(corpus);
     for (const ShardState& shard : states) scratch.merge(shard.corpus);
-    if (tiered_ != nullptr) {
+    if (tiered != nullptr) {
       // Already-spilled records count too; merged_size_with needs the
       // not-yet-spilled union in ascending order.
       scratch.canonicalize();
-      return static_cast<std::size_t>(tiered_->merged_size_with(scratch));
+      return static_cast<std::size_t>(tiered->merged_size_with(scratch));
     }
     return scratch.size();
   };
@@ -330,7 +335,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
       combined.merge(shard.corpus);
       shard.corpus = Corpus(1 << 12);
     }
-    tiered_->spill(std::move(combined));
+    tiered->spill(std::move(combined));
   };
 
   // The corpus-so-far at a merge barrier: whatever the caller's corpus
@@ -341,8 +346,8 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   const auto union_snapshot = [&]() -> Corpus {
     std::size_t records = corpus.size();
     for (const ShardState& shard : states) records += shard.corpus.size();
-    Corpus snapshot = tiered_ != nullptr
-                          ? tiered_->collapse()
+    Corpus snapshot = tiered != nullptr
+                          ? tiered->collapse()
                           : Corpus(std::max<std::size_t>(records, 1));
     snapshot.merge(corpus);
     for (const ShardState& shard : states) snapshot.merge(shard.corpus);
@@ -359,36 +364,23 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   // Epoch publication obeys the same hooked-pass exemption as sampling.
   const bool epoching =
       config_.epoch_sink && config_.epoch_interval > 0 && !hook;
+  // The checkpoint, epoch and spill grids are anchored at the window
+  // start; the sampler keeps its own origin.
+  const util::SimGrid checkpoint_grid{from.window_start,
+                                      config_.checkpoint_interval};
+  const util::SimGrid epoch_grid{from.window_start, config_.epoch_interval};
+  const util::SimGrid spill_grid{from.window_start, kSpillBarrierInterval};
   util::SimTime lo = std::max(from.window_start, from.resume_from);
   while (lo < from.window_end) {
     util::SimTime hi = from.window_end;
-    if (checkpointing) {
-      // Next boundary strictly after `lo` on the grid
-      // window_start + k * interval.
-      const std::int64_t k =
-          (lo - from.window_start) / config_.checkpoint_interval + 1;
-      hi = std::min<util::SimTime>(
-          from.window_end,
-          from.window_start + k * config_.checkpoint_interval);
-    }
-    if (sampling) {
-      hi = std::min(hi, config_.sampler->next_boundary(lo));
-    }
-    if (epoching) {
-      const std::int64_t k =
-          (lo - from.window_start) / config_.epoch_interval + 1;
-      hi = std::min<util::SimTime>(
-          hi, from.window_start + k * config_.epoch_interval);
-    }
-    if (tiered_ != nullptr && tiered_->config().barrier_interval > 0) {
-      // The spill grid guarantees interior merge barriers even when
-      // neither checkpointing nor sampling provides them.
-      const util::SimDuration interval = tiered_->config().barrier_interval;
-      const std::int64_t k = (lo - from.window_start) / interval + 1;
-      hi = std::min<util::SimTime>(hi, from.window_start + k * interval);
-    }
+    if (checkpointing) hi = std::min(hi, checkpoint_grid.next_after(lo));
+    if (sampling) hi = std::min(hi, config_.sampler->next_boundary(lo));
+    if (epoching) hi = std::min(hi, epoch_grid.next_after(lo));
+    // The spill grid guarantees interior merge barriers even when neither
+    // checkpointing nor sampling provides them.
+    if (tiered != nullptr) hi = std::min(hi, spill_grid.next_after(lo));
     run_chunk(hi);
-    if (tiered_ != nullptr) {
+    if (tiered != nullptr) {
       // Spill before checkpoint emission and sampling so the checkpoint
       // snapshot can be rebuilt from the runs and the spill counters fold
       // into this boundary's timeline window. The window-end tail always
@@ -398,14 +390,14 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
         heap += shard.corpus.memory_bytes();
       }
       if (hi >= from.window_end ||
-          heap > tiered_->config().memory_budget_bytes) {
+          heap > tiered->config().memory_budget_bytes) {
         spill_shards();
       }
     }
     // With both grids active `hi` may be a sample-only boundary, so gate
     // checkpoint emission on actually being on the checkpoint grid.
     if (checkpointing && hi < from.window_end &&
-        (hi - from.window_start) % config_.checkpoint_interval == 0) {
+        checkpoint_grid.contains(hi)) {
       CheckpointState snap;
       snap.window_start = from.window_start;
       snap.window_end = from.window_end;
@@ -427,8 +419,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
     // Epoch publication rides the same merge barrier. Canonicalized so
     // the handed corpus's layout — and every serve::Snapshot table built
     // from it — is a pure function of its content.
-    if (epoching && hi < from.window_end &&
-        (hi - from.window_start) % config_.epoch_interval == 0) {
+    if (epoching && hi < from.window_end && epoch_grid.contains(hi)) {
       Corpus snapshot = union_snapshot();
       snapshot.canonicalize();
       config_.epoch_sink(hi, snapshot);
@@ -452,7 +443,7 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   vantage_health_ = std::move(base_vh);
   for (ShardState& shard : states) {
     // Tiered mode flushed every shard at the final barrier already.
-    if (tiered_ == nullptr) corpus.merge(shard.corpus);
+    if (tiered == nullptr) corpus.merge(shard.corpus);
     polls_ += shard.tally.polls;
     answered_ += shard.tally.answered;
     for (std::size_t v = 0; v < shard.vantage.size(); ++v) {
@@ -464,8 +455,8 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   // a sampler this flush covers only the tail since the last boundary —
   // the shard corpora are all merged now, so the union is `corpus`.
   flush_metrics(
-      (tiered_ != nullptr ? static_cast<std::size_t>(tiered_->merged_size())
-                          : corpus.size()) -
+      (tiered != nullptr ? static_cast<std::size_t>(tiered->merged_size())
+                         : corpus.size()) -
       records_before);
   // Chunk grids (checkpoints, sampling boundaries) change the order merged
   // sightings reach the corpus, which would leak into save_corpus() bytes
@@ -474,13 +465,14 @@ void PassiveCollector::collect(Corpus& corpus, const CheckpointState& from,
   // shard counts and with sampling on or off. (Tiered mode needs no
   // equivalent: run files are written canonicalized and the k-way merge
   // emits ascending order by construction.)
-  if (tiered_ == nullptr) corpus.canonicalize();
+  if (tiered == nullptr) corpus.canonicalize();
 }
 
 void PassiveCollector::run(Corpus& corpus, util::SimTime start,
                            util::SimTime end, const ObservationHook& hook,
                            const CheckpointSink& sink) {
-  collect(corpus, CheckpointState{start, end, start, 0, 0, {}}, hook, sink);
+  collect(corpus, nullptr, CheckpointState{start, end, start, 0, 0, {}},
+          hook, sink);
 }
 
 void PassiveCollector::run(TieredCorpus& runs, util::SimTime start,
@@ -494,14 +486,13 @@ void PassiveCollector::run(TieredCorpus& runs, util::SimTime start,
 void PassiveCollector::resume(Corpus& corpus, const CheckpointState& from,
                               const ObservationHook& hook,
                               const CheckpointSink& sink) {
-  collect(corpus, from, hook, sink);
+  collect(corpus, nullptr, from, hook, sink);
 }
 
 void PassiveCollector::resume(TieredCorpus& runs, Corpus&& snapshot,
                               const CheckpointState& from,
                               const ObservationHook& hook,
                               const CheckpointSink& sink) {
-  tiered_ = &runs;
   // The checkpointed prefix becomes the first on-disk run; the tail then
   // spills through the normal barrier machinery. Run *boundaries* differ
   // from an uninterrupted spilled run, but the k-way merge erases
@@ -510,13 +501,7 @@ void PassiveCollector::resume(TieredCorpus& runs, Corpus&& snapshot,
   // Scratch stand-in for the caller corpus: collect() keeps it empty in
   // tiered mode (shards spill instead of merging into it).
   Corpus scratch(1);
-  try {
-    collect(scratch, from, hook, sink);
-  } catch (...) {
-    tiered_ = nullptr;
-    throw;
-  }
-  tiered_ = nullptr;
+  collect(scratch, &runs, from, hook, sink);
 }
 
 }  // namespace v6::hitlist

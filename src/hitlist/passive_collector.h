@@ -197,8 +197,8 @@ class PassiveCollector {
   // crosses runs.config().memory_budget_bytes at a merge barrier, their
   // union is flushed into `runs` as one on-disk run and the tables reset
   // (the tail is flushed at window end regardless). Barriers come from
-  // the checkpoint/sampling grids plus runs.config().barrier_interval,
-  // so a run without either still spills on a sim-time grid. The spilled
+  // the checkpoint/sampling/epoch grids plus a one-day spill grid, so a
+  // run without any of them still spills on a sim-time grid. The spilled
   // union always covers ALL shards, which keeps each run's *content* a
   // pure function of the boundary time — the merged stream (and thus
   // every analysis and save() byte) is identical to the in-memory run at
@@ -286,8 +286,12 @@ class PassiveCollector {
     std::mutex* hook_mu = nullptr;
   };
 
-  void collect(Corpus& corpus, const CheckpointState& from,
-               const ObservationHook& hook, const CheckpointSink& sink);
+  // The one collection loop behind every run()/resume(). With `tiered`
+  // null, shards merge into `corpus`; otherwise they spill into `tiered`
+  // at merge barriers and `corpus` stays empty.
+  void collect(Corpus& corpus, TieredCorpus* tiered,
+               const CheckpointState& from, const ObservationHook& hook,
+               const CheckpointSink& sink);
 
   // Processes every sync event of this shard with base time < chunk_end.
   void process_chunk(ShardState& shard, util::SimTime window_end,
@@ -301,9 +305,6 @@ class PassiveCollector {
   const netsim::PoolDns* dns_;
   const netsim::FaultSchedule* faults_;
   CollectorConfig config_;
-  // Non-null only inside the TieredCorpus run() overload: collect()
-  // spills into it instead of merging into the caller's corpus.
-  TieredCorpus* tiered_ = nullptr;
   std::uint64_t polls_ = 0;
   std::uint64_t answered_ = 0;
   std::vector<VantageHealthStats> vantage_health_;

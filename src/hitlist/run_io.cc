@@ -442,14 +442,10 @@ void merge_record_streams(
     AddressRecord agg = heads[best].rec;
     heads[best].valid = streams[best](heads[best].rec);
     // Each input is strictly ascending, so every other stream contributes
-    // at most one record for this address. Aggregation matches
-    // Corpus::add_record field-for-field (count wraps at u32 like +=).
+    // at most one record for this address, folded by Corpus's own rule.
     for (std::size_t i = best + 1; i < heads.size(); ++i) {
       while (heads[i].valid && heads[i].rec.address == agg.address) {
-        agg.first_seen = std::min(agg.first_seen, heads[i].rec.first_seen);
-        agg.last_seen = std::max(agg.last_seen, heads[i].rec.last_seen);
-        agg.count += heads[i].rec.count;
-        agg.vantage_mask |= heads[i].rec.vantage_mask;
+        fold_record(agg, heads[i].rec);
         heads[i].valid = streams[i](heads[i].rec);
       }
     }

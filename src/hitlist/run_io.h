@@ -19,8 +19,8 @@
 // Each block encodes up to `block_records` records. The first record of a
 // block is absolute (the decoder resets its delta chain there), making
 // every block independently decodable — the unit ParallelScan's segment
-// domains and the point-lookup path both seek to. Within a block a record
-// is a tag byte plus varints (LEB128):
+// domains seek to. Within a block a record is a tag byte plus varints
+// (LEB128):
 //
 //   bit 0  same /64 prefix as the previous record -> only the IID delta
 //   bit 1  count == 1                             -> count elided
@@ -50,7 +50,7 @@ namespace v6::hitlist {
 
 struct RunWriterOptions {
   // Records per block: the delta-chain reset interval and the granularity
-  // of point lookups / segment scans. Small values are used by the
+  // of segment scans. Small values are used by the
   // corruption tests to exercise many blocks on tiny inputs.
   std::uint32_t block_records = 4096;
 };
@@ -165,9 +165,8 @@ class RunReader {
 using RecordStream = std::function<bool(AddressRecord&)>;
 
 // K-way merge: emits the union of `streams` in ascending address order,
-// aggregating duplicates across streams (min first_seen, max last_seen,
-// sum count, OR vantage_mask — identical to Corpus::add_record, including
-// u32 wrap-on-sum for count). Each input stream must itself be strictly
+// aggregating duplicates across streams with fold_record (corpus.h), the
+// rule Corpus::add_record uses. Each input stream must itself be strictly
 // ascending. Emission stops early when `emit` returns false.
 void merge_record_streams(
     std::vector<RecordStream> streams,

@@ -65,10 +65,6 @@ TieredCorpus::TieredCorpus(SpillConfig config, obs::Registry* metrics)
 }
 
 TieredCorpus::~TieredCorpus() {
-  if (!config_.keep_files) remove_run_files();
-}
-
-void TieredCorpus::remove_run_files() {
   std::error_code ec;  // destructor path: never throw, best effort
   for (const Run& run : runs_) fs::remove(run.path, ec);
   if (owns_directory_) fs::remove(config_.directory, ec);
@@ -79,10 +75,8 @@ void TieredCorpus::invalidate_caches() {
   bounds_cache_.reset();
 }
 
-void TieredCorpus::spill(Corpus&& shard) {
-  if (shard.size() == 0) return;
-  shard.canonicalize();
-
+TieredCorpus::Run TieredCorpus::write_run(
+    const std::function<void(RunWriter&)>& fill) {
   Run run;
   // spills + compactions counts every file ever created, so the sequence
   // number stays unique across compactions that delete earlier runs.
@@ -90,7 +84,6 @@ void TieredCorpus::spill(Corpus&& shard) {
               ("run-" + zero_padded(stats_.spills + stats_.compactions) +
                ".v6run"))
                  .string();
-  RunFileStats written;
   {
     std::ofstream out(run.path, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -98,19 +91,14 @@ void TieredCorpus::spill(Corpus&& shard) {
                                run.path);
     }
     RunWriter writer(out, {.block_records = config_.block_records});
-    for (const AddressRecord& rec : shard.records()) writer.append(rec);
-    written = writer.finish();
+    fill(writer);
+    run.bytes = writer.finish().bytes;
     out.flush();
     if (!out) {
       throw std::runtime_error("tiered corpus: run write failed: " +
                                run.path);
     }
   }
-  shard = Corpus(0);  // release the table before the validation read
-
-  // Re-open and validate immediately: a spill that would not round-trip
-  // (disk error, format bug) must fail here, not at analysis time. The
-  // validated header and index are cached for segment planning.
   std::ifstream in(run.path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("tiered corpus: cannot reopen run file: " +
@@ -119,26 +107,38 @@ void TieredCorpus::spill(Corpus&& shard) {
   RunReader reader(in);
   run.records = reader.records();
   run.observations = reader.observations();
-  run.bytes = written.bytes;
   run.blocks = reader.blocks();
-  runs_.push_back(std::move(run));
+  return run;
+}
+
+void TieredCorpus::spill(Corpus&& shard) {
+  if (shard.size() == 0) return;
+  shard.canonicalize();
+  Run run = write_run([&shard](RunWriter& writer) {
+    for (const AddressRecord& rec : shard.records()) writer.append(rec);
+    shard = Corpus(0);  // release the table before the validation read
+  });
 
   stats_.spills += 1;
-  stats_.spilled_records += written.records;
-  stats_.disk_bytes += written.bytes;
+  stats_.spilled_records += run.records;
+  stats_.disk_bytes += run.bytes;
   metric_spills_.inc();
-  metric_spilled_records_.inc(written.records);
-  metric_spill_bytes_.inc(written.bytes);
+  metric_spilled_records_.inc(run.records);
+  metric_spill_bytes_.inc(run.bytes);
+  runs_.push_back(std::move(run));
   metric_runs_.set(static_cast<double>(runs_.size()));
   invalidate_caches();
 }
 
-std::vector<RecordStream> TieredCorpus::open_streams(
-    const net::Ipv6Address* lo,
-    std::vector<std::unique_ptr<std::ifstream>>& files,
-    std::vector<std::unique_ptr<RunReader>>& readers) const {
+void TieredCorpus::merge(const std::function<void(const AddressRecord&)>& fn,
+                         std::span<const AddressRecord> extra,
+                         const net::Ipv6Address* lo,
+                         const net::Ipv6Address* hi) const {
+  // The ifstreams and readers outlive the cursors the streams capture.
+  std::vector<std::unique_ptr<std::ifstream>> files;
+  std::vector<std::unique_ptr<RunReader>> readers;
   std::vector<RecordStream> streams;
-  streams.reserve(runs_.size());
+  streams.reserve(runs_.size() + 1);
   for (const Run& run : runs_) {
     auto file = std::make_unique<std::ifstream>(run.path, std::ios::binary);
     if (!*file) {
@@ -153,97 +153,51 @@ std::vector<RecordStream> TieredCorpus::open_streams(
     files.push_back(std::move(file));
     readers.push_back(std::move(reader));
   }
-  return streams;
+  if (!extra.empty()) {
+    streams.push_back([extra, i = std::size_t{0}](AddressRecord& out) mutable {
+      if (i >= extra.size()) return false;
+      out = extra[i++];
+      return true;
+    });
+  }
+  merge_record_streams(std::move(streams), [&](const AddressRecord& rec) {
+    if (hi != nullptr && !(rec.address < *hi)) return false;
+    fn(rec);
+    return true;
+  });
 }
 
 void TieredCorpus::compact() {
   if (runs_.size() <= 1) return;
-
-  const std::string path =
-      (fs::path(config_.directory) /
-       ("run-" + zero_padded(stats_.spills + stats_.compactions) + ".v6run"))
-          .string();
-  RunFileStats written;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw std::runtime_error("tiered corpus: cannot create run file: " +
-                               path);
-    }
-    RunWriter writer(out, {.block_records = config_.block_records});
-    {
-      std::vector<std::unique_ptr<std::ifstream>> files;
-      std::vector<std::unique_ptr<RunReader>> readers;
-      merge_record_streams(open_streams(nullptr, files, readers),
-                           [&writer](const AddressRecord& rec) {
-                             writer.append(rec);
-                             return true;
-                           });
-    }
-    written = writer.finish();
-    out.flush();
-    if (!out) {
-      throw std::runtime_error("tiered corpus: run write failed: " + path);
-    }
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("tiered corpus: cannot reopen run file: " +
-                             path);
-  }
-  RunReader reader(in);
-  Run merged;
-  merged.path = path;
-  merged.records = reader.records();
-  merged.observations = reader.observations();
-  merged.bytes = written.bytes;
-  merged.blocks = reader.blocks();
+  Run merged = write_run([this](RunWriter& writer) {
+    merge([&writer](const AddressRecord& rec) { writer.append(rec); });
+  });
 
   std::error_code ec;
   for (const Run& run : runs_) fs::remove(run.path, ec);
   runs_.clear();
-  runs_.push_back(std::move(merged));
   stats_.compactions += 1;
-  stats_.disk_bytes = written.bytes;
+  stats_.disk_bytes = merged.bytes;
+  runs_.push_back(std::move(merged));
   metric_compactions_.inc();
   metric_runs_.set(static_cast<double>(runs_.size()));
   invalidate_caches();
 }
 
 std::uint64_t TieredCorpus::merged_size() const {
-  if (merged_size_cache_.has_value()) return *merged_size_cache_;
-  std::uint64_t unique = 0;
-  std::vector<std::unique_ptr<std::ifstream>> files;
-  std::vector<std::unique_ptr<RunReader>> readers;
-  merge_record_streams(open_streams(nullptr, files, readers),
-                       [&unique](const AddressRecord&) {
-                         ++unique;
-                         return true;
-                       });
-  merged_size_cache_ = unique;
-  return unique;
+  if (!merged_size_cache_.has_value()) {
+    std::uint64_t unique = 0;
+    merge([&unique](const AddressRecord&) { ++unique; });
+    merged_size_cache_ = unique;
+  }
+  return *merged_size_cache_;
 }
 
 std::uint64_t TieredCorpus::merged_size_with(const Corpus& extra) const {
-  std::vector<std::unique_ptr<std::ifstream>> files;
-  std::vector<std::unique_ptr<RunReader>> readers;
-  auto streams = open_streams(nullptr, files, readers);
   // `extra` must be canonicalized: the merge requires strictly-ascending
   // inputs, and a canonical record array is exactly that.
-  streams.push_back(
-      [span = extra.records(), i = std::size_t{0}](AddressRecord& out)
-          mutable {
-        if (i >= span.size()) return false;
-        out = span[i++];
-        return true;
-      });
   std::uint64_t unique = 0;
-  merge_record_streams(std::move(streams),
-                       [&unique](const AddressRecord&) {
-                         ++unique;
-                         return true;
-                       });
+  merge([&unique](const AddressRecord&) { ++unique; }, extra.records());
   return unique;
 }
 
@@ -255,13 +209,7 @@ std::uint64_t TieredCorpus::total_observations() const noexcept {
 
 void TieredCorpus::for_each_merged(
     const std::function<void(const AddressRecord&)>& fn) const {
-  std::vector<std::unique_ptr<std::ifstream>> files;
-  std::vector<std::unique_ptr<RunReader>> readers;
-  merge_record_streams(open_streams(nullptr, files, readers),
-                       [&fn](const AddressRecord& rec) {
-                         fn(rec);
-                         return true;
-                       });
+  merge(fn);
 }
 
 const std::vector<net::Ipv6Address>& TieredCorpus::segment_bounds() const {
@@ -279,66 +227,27 @@ const std::vector<net::Ipv6Address>& TieredCorpus::segment_bounds() const {
   return *bounds_cache_;
 }
 
-void TieredCorpus::scan_segments(
-    std::size_t begin, std::size_t end,
-    const std::function<void(const AddressRecord&)>& fn) const {
-  const auto& bounds = segment_bounds();
-  end = std::min(end, bounds.size());
-  if (begin >= end) return;
-  const net::Ipv6Address lo = bounds[begin];
-  const bool bounded = end < bounds.size();
-  const net::Ipv6Address hi = bounded ? bounds[end] : net::Ipv6Address{};
-  std::vector<std::unique_ptr<std::ifstream>> files;
-  std::vector<std::unique_ptr<RunReader>> readers;
-  merge_record_streams(open_streams(&lo, files, readers),
-                       [&](const AddressRecord& rec) {
-                         if (bounded && !(rec.address < hi)) return false;
-                         fn(rec);
-                         return true;
-                       });
-}
-
 void TieredCorpus::scan_segment_blocks(
     std::size_t begin, std::size_t end,
     const std::function<void(std::span<const AddressRecord>)>& fn) const {
+  const auto& bounds = segment_bounds();
+  end = std::min(end, bounds.size());
+  if (begin >= end) return;
+  const net::Ipv6Address* hi = end < bounds.size() ? &bounds[end] : nullptr;
   // The k-way merge surfaces one aggregated record at a time; stage them
-  // in a scan-local buffer and hand off full blocks. Same stream, same
-  // order — only the callback granularity changes.
+  // in a scan-local buffer and hand off full blocks.
   std::vector<AddressRecord> buffer;
   buffer.reserve(kScanBlockRecords);
-  scan_segments(begin, end, [&](const AddressRecord& rec) {
-    buffer.push_back(rec);
-    if (buffer.size() == kScanBlockRecords) {
-      fn(std::span<const AddressRecord>(buffer));
-      buffer.clear();
-    }
-  });
+  merge(
+      [&](const AddressRecord& rec) {
+        buffer.push_back(rec);
+        if (buffer.size() == kScanBlockRecords) {
+          fn(std::span<const AddressRecord>(buffer));
+          buffer.clear();
+        }
+      },
+      {}, &bounds[begin], hi);
   if (!buffer.empty()) fn(std::span<const AddressRecord>(buffer));
-}
-
-std::optional<AddressRecord> TieredCorpus::find(
-    const net::Ipv6Address& address) const {
-  std::optional<AddressRecord> result;
-  for (const Run& run : runs_) {
-    std::ifstream file(run.path, std::ios::binary);
-    if (!file) {
-      throw std::runtime_error("tiered corpus: cannot open run file: " +
-                               run.path);
-    }
-    RunReader reader(file);
-    auto cursor = reader.cursor_at(address);
-    AddressRecord rec;
-    if (!cursor.next(rec) || rec.address != address) continue;
-    if (!result.has_value()) {
-      result = rec;
-    } else {
-      result->first_seen = std::min(result->first_seen, rec.first_seen);
-      result->last_seen = std::max(result->last_seen, rec.last_seen);
-      result->count += rec.count;
-      result->vantage_mask |= rec.vantage_mask;
-    }
-  }
-  return result;
 }
 
 Corpus TieredCorpus::collapse() const {

@@ -18,18 +18,22 @@
 // ALL shards (thread-count-independent content), and the merge's
 // aggregation is field-for-field the in-memory fold.
 //
-// Concurrency: the read path (scan_segments, for_each_merged, contains)
-// is const and opens its own file streams, so ParallelScan workers may
-// call it concurrently — PROVIDED the lazy caches were warmed first:
-// call segment_bounds() and merged_size() once from one thread (which is
-// what analysis::make_source does). Mutations (spill, compact) must be
+// Every read (merged_size, for_each_merged, scan_segment_blocks, save)
+// and compact() is one private k-way merge over the runs, and every run
+// file — spilled or compacted — is written, reopened and validated by one
+// private helper.
+//
+// Concurrency: the read path (scan_segment_blocks, for_each_merged) is
+// const and opens its own file streams, so ParallelScan workers may call
+// it concurrently — PROVIDED the lazy caches were warmed first: call
+// segment_bounds() and merged_size() once from one thread (which is what
+// analysis::make_source does). Mutations (spill, compact) must be
 // externally serialized against everything else.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -38,7 +42,6 @@
 #include "hitlist/corpus.h"
 #include "hitlist/run_io.h"
 #include "obs/metrics.h"
-#include "util/sim_time.h"
 
 namespace v6::hitlist {
 
@@ -47,17 +50,12 @@ struct SpillConfig {
   // a merge barrier triggers a spill. 0 disables out-of-core collection
   // entirely (the knob Study/RunOptions expose).
   std::size_t memory_budget_bytes = 0;
-  // Where run files live. Empty: a fresh directory under the system temp
-  // root, removed with the TieredCorpus.
+  // Where run files live; they are removed with the TieredCorpus. Empty:
+  // a fresh directory under the system temp root, removed with them.
   std::string directory;
-  // Sim-time spacing of spill-check barriers the collector adds when no
-  // other grid (checkpointing, sampling) provides interior barriers.
-  util::SimDuration barrier_interval = util::kDay;
   // Records per run-file block (delta-chain reset + seek granularity).
   // Tests shrink it to force multi-block runs on tiny corpora.
   std::uint32_t block_records = 4096;
-  // Leave the run files on disk at destruction (debugging/bench probing).
-  bool keep_files = false;
 
   bool active() const noexcept { return memory_budget_bytes > 0; }
 };
@@ -109,34 +107,20 @@ class TieredCorpus {
   // unique block-start addresses across all runs. Segment i covers
   // addresses [bounds[i], bounds[i+1]) (the last one unbounded above);
   // bounds[0] is the global minimum record address, so concatenating
-  // scan_segments over [0, size) in order replays for_each_merged
+  // scan_segment_blocks over [0, size) in order replays for_each_merged
   // exactly.
   const std::vector<net::Ipv6Address>& segment_bounds() const;
 
   // Streams the merged records of segments [begin, end), in ascending
-  // address order. Thread-safe against concurrent scan_segments calls
-  // (each opens its own streams); see the caching caveat above.
-  void scan_segments(std::size_t begin, std::size_t end,
-                     const std::function<void(const AddressRecord&)>& fn)
-      const;
-
-  // Block form of scan_segments: the merged stream of segments
-  // [begin, end) arrives as contiguous spans of up to kScanBlockRecords
-  // records (the k-way merge emits one record at a time, so records are
-  // staged in a scan-local buffer — the span is only valid inside the
-  // callback). Concatenating the blocks replays scan_segments exactly;
-  // block boundaries carry no meaning.
+  // address order, as contiguous spans of up to kScanBlockRecords records
+  // (the k-way merge emits one record at a time, so records are staged in
+  // a scan-local buffer — the span is only valid inside the callback).
+  // Block boundaries carry no meaning. Thread-safe against concurrent
+  // calls (each opens its own streams); see the caching caveat above.
   static constexpr std::size_t kScanBlockRecords = 4096;
   void scan_segment_blocks(
       std::size_t begin, std::size_t end,
       const std::function<void(std::span<const AddressRecord>)>& fn) const;
-
-  // Point lookup across all runs (aggregating duplicates). Decodes one
-  // block per run — meant for tests and spot checks, not hot loops.
-  std::optional<AddressRecord> find(const net::Ipv6Address& address) const;
-  bool contains(const net::Ipv6Address& address) const {
-    return find(address).has_value();
-  }
 
   // Materializes the merged stream as an in-memory Corpus (ascending
   // insertion order — already canonical).
@@ -156,15 +140,22 @@ class TieredCorpus {
     std::vector<RunBlockInfo> blocks;
   };
 
-  // Ascending streams over every run, each starting at the first record
-  // >= lo (or the run's start). The ifstreams land in `files` so they
-  // outlive the returned cursors.
-  std::vector<RecordStream> open_streams(
-      const net::Ipv6Address* lo,
-      std::vector<std::unique_ptr<std::ifstream>>& files,
-      std::vector<std::unique_ptr<RunReader>>& readers) const;
+  // The one k-way merge: streams the aggregated union of every run and
+  // `extra` (strictly ascending, e.g. a canonicalized corpus's records)
+  // to `fn`, stopping before the first record >= *hi. `lo` starts each
+  // run's cursor at its first record >= *lo; `extra` is always streamed
+  // whole, so bounded scans pass none. Null bounds are unbounded. Opens
+  // each run once.
+  void merge(const std::function<void(const AddressRecord&)>& fn,
+             std::span<const AddressRecord> extra = {},
+             const net::Ipv6Address* lo = nullptr,
+             const net::Ipv6Address* hi = nullptr) const;
+  // Writes the records `fill` appends as the next run file, then reopens
+  // and validates it — a run that would not round-trip (disk error,
+  // format bug) fails here, not at analysis time. Returns the validated
+  // header and index for segment planning.
+  Run write_run(const std::function<void(RunWriter&)>& fill);
   void invalidate_caches();
-  void remove_run_files();
 
   SpillConfig config_;
   bool owns_directory_ = false;

@@ -56,17 +56,15 @@ TimelineSampler::TimelineSampler(const Registry& registry,
                                  util::SimDuration interval,
                                  util::SimTime origin)
     : registry_(&registry),
-      interval_(std::max<util::SimDuration>(interval, 1)),
-      origin_(origin),
+      grid_{origin, std::max<util::SimDuration>(interval, 1)},
       last_(origin) {}
 
 util::SimTime TimelineSampler::next_boundary(util::SimTime t) const noexcept {
-  if (t < origin_) return origin_;
-  return origin_ + ((t - origin_) / interval_ + 1) * interval_;
+  return grid_.next_after(t);
 }
 
 bool TimelineSampler::on_boundary(util::SimTime t) const noexcept {
-  return t >= origin_ && (t - origin_) % interval_ == 0;
+  return grid_.contains(t);
 }
 
 void TimelineSampler::sample(util::SimTime at, std::string_view stage) {

@@ -123,7 +123,7 @@ class TimelineSampler {
   TimelineSampler(const Registry& registry, util::SimDuration interval,
                   util::SimTime origin);
 
-  util::SimDuration interval() const noexcept { return interval_; }
+  util::SimDuration interval() const noexcept { return grid_.interval; }
 
   // First grid boundary strictly after `t` (origin + k * interval).
   util::SimTime next_boundary(util::SimTime t) const noexcept;
@@ -141,8 +141,7 @@ class TimelineSampler {
 
  private:
   const Registry* registry_;
-  util::SimDuration interval_;
-  util::SimTime origin_;
+  util::SimGrid grid_;
   util::SimTime last_;
   // Previous folded values, keyed by name + serialized labels.
   std::map<std::string, std::uint64_t> prev_counters_;

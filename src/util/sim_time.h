@@ -24,6 +24,24 @@ inline constexpr SimDuration kWeek = 7 * kDay;
 // bucketing lifetimes.
 inline constexpr SimDuration kMonth = 30 * kDay;
 
+// A sim-time grid origin + k * interval (k >= 0, interval > 0): the
+// boundaries of checkpoints, timeline samples, serving epochs and spill
+// barriers. One rule, so every grid rounds the same way.
+struct SimGrid {
+  SimTime origin = 0;
+  SimDuration interval = 1;
+
+  // First grid point strictly after `t` (the origin for any t < origin).
+  constexpr SimTime next_after(SimTime t) const noexcept {
+    if (t < origin) return origin;
+    return origin + ((t - origin) / interval + 1) * interval;
+  }
+  // True when `t` lies exactly on the grid.
+  constexpr bool contains(SimTime t) const noexcept {
+    return t >= origin && (t - origin) % interval == 0;
+  }
+};
+
 // "0s", "90s", "12m", "3h", "2d", "5w" — coarse human form for figure axes.
 std::string format_duration(SimDuration d);
 

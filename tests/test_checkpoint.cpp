@@ -18,6 +18,7 @@
 #include "ntp/client_schedule.h"
 #include "ntp_wire_reference.h"
 #include "sim/world.h"
+#include "util/rng.h"
 
 namespace v6::hitlist {
 namespace {
@@ -590,6 +591,9 @@ TEST(CheckpointIo, RejectsTruncationAtEveryByteOffset) {
   }
   std::stringstream intact(full);
   EXPECT_NO_THROW(load_checkpoint(intact));
+  // The embedded snapshot must end the stream.
+  std::stringstream trailing(full + "x");
+  EXPECT_THROW(load_checkpoint(trailing), std::runtime_error);
 }
 
 TEST(CheckpointIo, RejectsCorruptionInEitherSection) {
@@ -629,6 +633,48 @@ TEST(CheckpointIo, RejectsHostileVantageCountBeforeAllocating) {
   bytes[51] = '\xff';
   std::stringstream in(bytes);
   EXPECT_THROW(load_checkpoint(in), std::runtime_error);
+}
+
+// A fixed state plus a fixed corpus, saved: the V6CKPT01 bytes are pinned
+// by their FNV-1a digest, recorded from the buffered codec that preceded
+// the streaming one, so a codec change that moves any byte — in the state
+// section, its CRC, or the embedded snapshot — fails here.
+TEST(CheckpointIo, BytesArePinned) {
+  constexpr std::uint64_t kCheckpointDigest = 0x563969495ea876e9ull;
+  constexpr std::size_t kCheckpointBytes = 6648;
+  CheckpointState state;
+  state.window_start = 86'400;
+  state.window_end = 19'008'000;
+  state.resume_from = 1'296'000;
+  state.polls_attempted = 987'654'321;
+  state.polls_answered = 912'345'678;
+  state.vantage_health.resize(4);
+  state.vantage_health[0] = {1000, 950, 20, 31, 7};
+  state.vantage_health[3] = {1u << 20, (1u << 20) - 5, 3, 2, 1};
+
+  Corpus corpus(64);
+  util::Rng rng(2022);
+  for (int i = 0; i < 200; ++i) {
+    // One draw per statement: argument evaluation order is unspecified.
+    const std::uint64_t prefix = 0x20010db800000000ull | rng.bounded(16);
+    const std::uint64_t iid = rng.next();
+    const auto t = static_cast<util::SimTime>(rng.bounded(19'008'000));
+    const auto vantage = static_cast<std::uint8_t>(rng.bounded(27));
+    corpus.add(net::Ipv6Address::from_u64(prefix, iid), t, vantage);
+  }
+  corpus.add(corpus.records()[0].address, 5, 30);
+  corpus.canonicalize();
+
+  std::ostringstream out;
+  EXPECT_EQ(save_checkpoint(out, state, corpus), kCheckpointBytes);
+  const std::string bytes = out.str();
+  EXPECT_EQ(bytes.size(), kCheckpointBytes);
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a
+  for (const unsigned char c : bytes) {
+    digest ^= c;
+    digest *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(digest, kCheckpointDigest) << std::hex << digest;
 }
 
 }  // namespace

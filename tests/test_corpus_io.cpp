@@ -4,6 +4,7 @@
 
 #include "hitlist/corpus_io.h"
 #include "proto/buffer.h"
+#include "proto/crc32.h"
 #include "util/rng.h"
 
 namespace v6 {
@@ -11,6 +12,48 @@ namespace {
 
 net::Ipv6Address addr(std::uint64_t hi, std::uint64_t lo) {
   return net::Ipv6Address::from_u64(hi, lo);
+}
+
+// One 32-byte snapshot record, any field values (forged ones included).
+void put_record(proto::BufferWriter& writer, const net::Ipv6Address& address,
+                std::uint32_t first_seen, std::uint32_t last_seen,
+                std::uint32_t count, std::uint32_t vantage_mask) {
+  writer.bytes(address.bytes());
+  writer.u32(first_seen);
+  writer.u32(last_seen);
+  writer.u32(count);
+  writer.u32(vantage_mask);
+}
+
+// A v2 snapshot around an arbitrary (possibly forged) header and record
+// section, with both CRCs valid: a hostile-input test then reaches the
+// semantic check it targets instead of failing on a checksum.
+std::stringstream v2_snapshot(std::uint64_t records,
+                              std::uint64_t observations,
+                              const proto::BufferWriter& payload) {
+  proto::BufferWriter writer;
+  const char magic[8] = {'V', '6', 'C', 'O', 'R', 'P', '0', '2'};
+  writer.bytes(std::span(reinterpret_cast<const std::uint8_t*>(magic), 8));
+  writer.u64(records);
+  writer.u64(observations);
+  writer.u32(proto::crc32(std::span(writer.data()).subspan(8, 16)));
+  writer.bytes(payload.data());
+  writer.u32(proto::crc32(payload.data()));
+  std::stringstream stream;
+  stream.write(reinterpret_cast<const char*>(writer.data().data()),
+               static_cast<std::streamsize>(writer.size()));
+  return stream;
+}
+
+// Loading `stream` must throw std::runtime_error naming `reason`.
+void expect_load_error(std::stringstream& stream, const std::string& reason) {
+  try {
+    hitlist::load_corpus(stream);
+    ADD_FAILURE() << "loaded; expected: " << reason;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CorpusIo, SaveLoadRoundTrip) {
@@ -122,76 +165,45 @@ TEST(CorpusIo, DetectsSingleByteCorruptionViaCrc) {
   corrupt_at(8 + 16 + 4 + 16);  // first record's first_seen field
 }
 
-TEST(CorpusIo, LoadsVersion1SnapshotsWithoutCrcSections) {
-  // Snapshots written before the CRC format bump: magic V6CORP01, header,
-  // raw records, no checksums. They must keep loading.
+TEST(CorpusIo, RejectsVersion1Magic) {
+  // V6CORP01 (no CRC sections) is no longer a readable format: a
+  // well-formed v1 file must fail on its magic, not load unchecked.
   proto::BufferWriter writer;
   const char magic[8] = {'V', '6', 'C', 'O', 'R', 'P', '0', '1'};
   writer.bytes(std::span(reinterpret_cast<const std::uint8_t*>(magic), 8));
   writer.u64(1);  // one record
   writer.u64(4);  // four observations
-  const auto address = addr(0xdead, 0xbeef);
-  writer.bytes(address.bytes());
-  writer.u32(100);  // first_seen
-  writer.u32(900);  // last_seen
-  writer.u32(4);    // count
-  writer.u32(0b101);  // vantage_mask
+  put_record(writer, addr(0xdead, 0xbeef), 100, 900, 4, 0b101);
   std::stringstream stream;
   stream.write(reinterpret_cast<const char*>(writer.data().data()),
                static_cast<std::streamsize>(writer.size()));
-
-  const auto loaded = hitlist::load_corpus(stream);
-  ASSERT_EQ(loaded.size(), 1u);
-  const auto* rec = loaded.find(address);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->first_seen, 100u);
-  EXPECT_EQ(rec->last_seen, 900u);
-  EXPECT_EQ(rec->count, 4u);
-  EXPECT_EQ(rec->vantage_mask, 0b101u);
-  EXPECT_EQ(loaded.total_observations(), 4u);
+  expect_load_error(stream, "bad magic");
 }
 
 TEST(CorpusIo, RejectsOversizedRecordCountBeforeAllocating) {
-  // A hostile header can claim any record count; the loader must reject
-  // it from the payload size alone instead of allocating a table for it.
-  // These counts would demand hundreds of GiB (or overflow the byte-size
-  // arithmetic entirely) if the check ran after the allocation.
+  // A hostile header can claim any record count; the loader must fail on
+  // the payload that is actually there instead of allocating a table for
+  // the claim. These counts would demand hundreds of GiB (or overflow the
+  // byte-size arithmetic entirely) if the claim sized an allocation.
+  proto::BufferWriter payload;  // exactly one record
+  put_record(payload, addr(0, 1), 0, 0, 1, 0);
   for (const std::uint64_t claimed :
        {std::uint64_t{1} << 40, std::uint64_t{1} << 61,
         std::uint64_t{0xffffffffffffffff}, std::uint64_t{2}}) {
-    proto::BufferWriter writer;
-    const char magic[8] = {'V', '6', 'C', 'O', 'R', 'P', '0', '1'};
-    writer.bytes(
-        std::span(reinterpret_cast<const std::uint8_t*>(magic), 8));
-    writer.u64(claimed);  // record count
-    writer.u64(1);        // observation count
-    // Payload for exactly one record.
-    for (int i = 0; i < 32; ++i) writer.u8(i == 15 ? 1 : 0);
-    std::stringstream stream;
-    stream.write(reinterpret_cast<const char*>(writer.data().data()),
-                 static_cast<std::streamsize>(writer.size()));
-    EXPECT_THROW(hitlist::load_corpus(stream), std::runtime_error)
-        << "claimed record count " << claimed;
+    SCOPED_TRACE(claimed);
+    auto stream = v2_snapshot(claimed, 1, payload);
+    expect_load_error(stream, "truncated");
   }
 }
 
 TEST(CorpusIo, RejectsZeroCountRecord) {
   // count == 0 is unrepresentable by any add() sequence; a snapshot
   // carrying one is forged or corrupt.
-  proto::BufferWriter writer;
-  const char magic[8] = {'V', '6', 'C', 'O', 'R', 'P', '0', '1'};
-  writer.bytes(std::span(reinterpret_cast<const std::uint8_t*>(magic), 8));
-  writer.u64(1);  // one record
-  writer.u64(0);  // zero observations (consistent with the forged count)
-  writer.bytes(addr(1, 2).bytes());
-  writer.u32(5);  // first_seen
-  writer.u32(5);  // last_seen
-  writer.u32(0);  // count: impossible
-  writer.u32(1);  // vantage_mask
-  std::stringstream stream;
-  stream.write(reinterpret_cast<const char*>(writer.data().data()),
-               static_cast<std::streamsize>(writer.size()));
-  EXPECT_THROW(hitlist::load_corpus(stream), std::runtime_error);
+  proto::BufferWriter payload;
+  put_record(payload, addr(1, 2), 5, 5, /*count=*/0, 1);
+  // Zero observations: consistent with the forged count.
+  auto stream = v2_snapshot(1, 0, payload);
+  expect_load_error(stream, "empty record");
 }
 
 TEST(CorpusIo, RejectsObservationTotalMismatch) {
@@ -199,26 +211,16 @@ TEST(CorpusIo, RejectsObservationTotalMismatch) {
   // the check a wrapping u64 accumulator used to make forgeable. (The sum
   // itself cannot overflow with any snapshot small enough to store, but
   // the guard plus this equality keeps the invariant airtight.)
-  proto::BufferWriter writer;
-  const char magic[8] = {'V', '6', 'C', 'O', 'R', 'P', '0', '1'};
-  writer.bytes(std::span(reinterpret_cast<const std::uint8_t*>(magic), 8));
-  writer.u64(1);   // one record
-  writer.u64(99);  // header claims 99 observations
-  writer.bytes(addr(1, 2).bytes());
-  writer.u32(5);
-  writer.u32(9);
-  writer.u32(3);  // record carries 3
-  writer.u32(1);
-  std::stringstream stream;
-  stream.write(reinterpret_cast<const char*>(writer.data().data()),
-               static_cast<std::streamsize>(writer.size()));
-  EXPECT_THROW(hitlist::load_corpus(stream), std::runtime_error);
+  proto::BufferWriter payload;
+  put_record(payload, addr(1, 2), 5, 9, /*count=*/3, 1);
+  auto stream = v2_snapshot(1, /*observations=*/99, payload);
+  expect_load_error(stream, "observation count mismatch");
 }
 
-TEST(CorpusIo, StreamLoaderAgreesWithSpanLoader) {
-  // The chunked istream loader and the one-shot span loader are two
-  // implementations of the same format: equal corpora from intact bytes,
-  // and a throw from every truncation for both.
+TEST(CorpusIo, StreamLoaderRejectsTruncatedPrefixes) {
+  // Cuts through a 300-record snapshot — in the magic, the header, the
+  // records and the trailer — must each throw, never load a partial
+  // corpus.
   hitlist::Corpus corpus;
   util::Rng rng(21);
   for (int i = 0; i < 300; ++i) {
@@ -226,24 +228,9 @@ TEST(CorpusIo, StreamLoaderAgreesWithSpanLoader) {
                static_cast<util::SimTime>(rng.bounded(1 << 20)),
                static_cast<std::uint8_t>(rng.bounded(27)));
   }
-  proto::BufferWriter writer;
-  hitlist::save_corpus(writer, corpus);
-  const std::string bytes(reinterpret_cast<const char*>(
-                              writer.data().data()),
-                          writer.size());
-
-  std::stringstream stream(bytes, std::ios::in | std::ios::binary);
-  const auto from_stream = hitlist::load_corpus(stream);
-  const auto from_span = hitlist::load_corpus(writer.data());
-  ASSERT_EQ(from_stream.size(), from_span.size());
-  EXPECT_EQ(from_stream.total_observations(),
-            from_span.total_observations());
-  for (const auto& rec : from_span.records()) {
-    const auto* other = from_stream.find(rec.address);
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(other->count, rec.count);
-    EXPECT_EQ(other->first_seen, rec.first_seen);
-  }
+  std::stringstream saved(std::ios::in | std::ios::out | std::ios::binary);
+  hitlist::save_corpus(saved, corpus);
+  const std::string bytes = saved.str();
 
   for (const std::size_t len : {std::size_t{0}, std::size_t{5},
                                 std::size_t{8}, std::size_t{27},
@@ -252,10 +239,9 @@ TEST(CorpusIo, StreamLoaderAgreesWithSpanLoader) {
                           std::ios::in | std::ios::binary);
     EXPECT_THROW(hitlist::load_corpus(cut), std::runtime_error)
         << "stream length " << len;
-    const auto span = std::span<const std::uint8_t>(writer.data()).subspan(0, len);
-    EXPECT_THROW(hitlist::load_corpus(span), std::runtime_error)
-        << "span length " << len;
   }
+  std::stringstream intact(bytes, std::ios::in | std::ios::binary);
+  EXPECT_EQ(hitlist::load_corpus(intact).size(), corpus.size());
 }
 
 TEST(CorpusIo, StreamLoaderHandlesMultiChunkSnapshots) {

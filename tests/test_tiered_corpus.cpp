@@ -109,22 +109,6 @@ TEST(TieredCorpus, EmptySpillsAreIgnored) {
   EXPECT_EQ(visits, 0u);
 }
 
-TEST(TieredCorpus, FindAggregatesAcrossRuns) {
-  const auto sightings = random_sightings(4000, 7);
-  const Corpus want = reference_corpus(sightings);
-  const auto runs = spilled(sightings, 6);
-  for (const auto& rec : want.records()) {
-    const auto got = runs->find(rec.address);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->first_seen, rec.first_seen);
-    EXPECT_EQ(got->last_seen, rec.last_seen);
-    EXPECT_EQ(got->count, rec.count);
-    EXPECT_EQ(got->vantage_mask, rec.vantage_mask);
-  }
-  EXPECT_FALSE(runs->contains(addr(0xdead, 0xbeef)));
-  EXPECT_FALSE(runs->find(addr(0xdead, 0xbeef)).has_value());
-}
-
 TEST(TieredCorpus, CollapseMaterializesTheMergedStream) {
   const auto sightings = random_sightings(3000, 11);
   const Corpus want = reference_corpus(sightings);
@@ -187,15 +171,21 @@ TEST(TieredCorpus, ScanSegmentsConcatenationReplaysMergedStream) {
     std::vector<AddressRecord> got;
     const std::size_t per = bounds.size() / pieces + 1;
     for (std::size_t begin = 0; begin < bounds.size(); begin += per) {
-      runs->scan_segments(begin, std::min(begin + per, bounds.size()),
-                         [&](const AddressRecord& rec) {
-                           got.push_back(rec);
-                         });
+      runs->scan_segment_blocks(
+          begin, std::min(begin + per, bounds.size()),
+          [&](std::span<const AddressRecord> block) {
+            EXPECT_FALSE(block.empty());
+            EXPECT_LE(block.size(), TieredCorpus::kScanBlockRecords);
+            got.insert(got.end(), block.begin(), block.end());
+          });
     }
     ASSERT_EQ(got.size(), want.size()) << pieces << " pieces";
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i].address, want.records()[i].address);
+      EXPECT_EQ(got[i].first_seen, want.records()[i].first_seen);
+      EXPECT_EQ(got[i].last_seen, want.records()[i].last_seen);
       EXPECT_EQ(got[i].count, want.records()[i].count);
+      EXPECT_EQ(got[i].vantage_mask, want.records()[i].vantage_mask);
     }
   }
 }
